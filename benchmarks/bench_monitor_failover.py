@@ -7,8 +7,9 @@ Two questions the monitor must answer cheaply:
   again?  The scripted outage scenario journals it per failover.
 * **per-round overhead** — the monitor rides every scheduler round;
   its wall-clock cost must scale gracefully with the number of
-  monitored flows.  Measured at 10/100/1000 flows via the scenario's
-  ``extra_flows`` knob.
+  monitored flows.  Measured at 10/100/1000/10000 flows via the
+  scenario's ``extra_flows`` knob; each pass probes all flows with one
+  batch call per pinned path and journals them with one WAL record.
 
 The table lands in ``benchmarks/output/monitor_failover.txt``.
 """
@@ -21,7 +22,7 @@ from benchmarks.conftest import BENCH_SEED, write_figure
 from repro.monitor.scenario import run_outage_scenario
 
 ROUNDS = 8
-FLOW_COUNTS = (10, 100, 1000)
+FLOW_COUNTS = (10, 100, 1000, 10000)
 
 
 def _run_scaled(extra_flows: int):

@@ -21,6 +21,8 @@ import argparse
 import time
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from benchmarks.conftest import BENCH_SEED, write_figure
 from repro.docdb.client import DocDBClient
 from repro.netsim.config import NetworkConfig
@@ -86,8 +88,9 @@ def _micro_row(n_links: int, probes: int) -> Tuple[float, float, float]:
 
     net = NetworkSim(topology, NetworkConfig(seed=BENCH_SEED))
     steps = _chain_traversals(topology, n_links)
+    send_times = np.arange(probes, dtype=np.float64) * 0.1
     start = time.perf_counter()
-    series = net.probe_batch(steps, packet, probes, 0.1, 0.0)
+    series = net.probe_batch(steps, packet, send_times)
     batch_s = time.perf_counter() - start
     assert series.count == probes
 

@@ -27,7 +27,8 @@ diff-tested against this set):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.docdb.collection import Collection
 
@@ -58,7 +59,13 @@ EVENT_TYPES = frozenset(
 
 
 class FlowEventJournal:
-    """Sequenced writer/reader for the ``flow_events`` collection."""
+    """Sequenced writer/reader for the ``flow_events`` collection.
+
+    Outside :meth:`batch` every :meth:`append` is its own
+    ``insert_one`` (one WAL record).  Inside it, appends are buffered
+    and written by one ``insert_many`` when the outermost batch exits —
+    one WAL record, so recovery keeps all of them or none.
+    """
 
     def __init__(self, collection: Collection) -> None:
         self.collection = collection
@@ -67,9 +74,28 @@ class FlowEventJournal:
         # Resume the sequence when attached to a pre-existing journal.
         existing = collection.find({}, sort=[("seq", -1)], limit=1)
         self._seq = int(existing[0]["seq"]) + 1 if existing else 0
+        self._batch_depth = 0
+        self._pending: List[Dict[str, Any]] = []
 
     def __len__(self) -> int:
-        return self.collection.count_documents()
+        return self.collection.count_documents() + len(self._pending)
+
+    @contextmanager
+    def batch(self) -> Iterator["FlowEventJournal"]:
+        """Buffer appends into one durability unit; re-entrant.
+
+        The buffer is flushed in ``finally``: when the body raises, the
+        events it already appended still land, so the journal keeps
+        matching the tracker state those events describe.
+        """
+        self._batch_depth += 1
+        try:
+            yield self
+        finally:
+            self._batch_depth -= 1
+            if self._batch_depth == 0 and self._pending:
+                pending, self._pending = self._pending, []
+                self.collection.insert_many(pending)
 
     # -- append side -----------------------------------------------------------
 
@@ -95,7 +121,10 @@ class FlowEventJournal:
             "server_id": server_id,
         }
         doc.update(payload)
-        self.collection.insert_one(doc)
+        if self._batch_depth:
+            self._pending.append(doc)
+        else:
+            self.collection.insert_one(doc)
         self._seq += 1
         return doc
 

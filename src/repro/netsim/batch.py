@@ -13,13 +13,18 @@ series in O(links) numpy operations:
   :meth:`~repro.netsim.procs.UtilizationProcess.values_at` (vectorized
   over the shared AR(1) grid cache, so batch and scalar readers see the
   exact same process values);
-* per-link jitter is one ``normal(size=count)`` vector and the drop
-  decision one vectorized Bernoulli per link/direction;
+* per-link jitter is one ``normal`` vector and the drop decision one
+  vectorized Bernoulli per link/direction, over all probes of the call;
 * cumulative delays propagate by running vector sums, and a first-drop
   mask guarantees a packet dropped at link *k* never contributes
   downstream draws that change observable results (each step's draws
   are fixed-size vectors, so a dropped packet keeps its lane without
   perturbing any other packet's samples).
+
+The caller passes the send times, in any shape: ``echo_series`` one
+``t0 + arange(count) * interval`` vector, the flow monitor a
+(flows × probes) matrix per pinned path, so one call probes every flow
+on that path.  Noise is drawn over the probes in row-major order.
 
 Determinism contract (property-tested in
 ``tests/test_netsim_fastpath.py``):
@@ -87,33 +92,35 @@ def probe_batch(
     network: "NetworkSim",
     traversals: Sequence["LinkTraversal"],
     packet: PacketSpec,
-    count: int,
-    interval_s: float,
-    t0_s: float,
+    send_times_s: "np.ndarray",
 ) -> BatchEchoSeries:
-    """Compute an entire SCMP echo series in O(links) numpy operations.
+    """Compute echo probes along one path in O(links) numpy operations.
 
-    Packet *i* departs at ``t0_s + i * interval_s``; its arrival time at
-    each link is the send time plus the accumulated delay vector so far,
-    exactly mirroring the scalar walker's clock arithmetic.  Probes
-    slower than ``config.probe_timeout_s`` count as lost, like the real
-    ``scion ping`` deadline.
+    ``send_times_s`` holds one departure time per probe, in any shape:
+    a ``t0 + arange(count) * interval`` vector for one echo series, or a
+    (flows × probes) matrix for every flow pinned to this path in one
+    monitor pass.  Each link draws its jitter and drop vectors over the
+    probes in row-major order.  A packet's arrival time at each link is
+    its send time plus the accumulated delay so far, exactly mirroring
+    the scalar walker's clock arithmetic.  Probes slower than
+    ``config.probe_timeout_s`` count as lost, like the real
+    ``scion ping`` deadline.  The result has the shape of
+    ``send_times_s``.
     """
     if not traversals:
         raise ValidationError("empty path")
-    if count < 1:
-        raise ValidationError(f"echo count must be >= 1: {count}")
-    if interval_s <= 0:
-        raise ValidationError("echo interval must be positive")
+    send_times = np.asarray(send_times_s, dtype=np.float64)
+    if send_times.size < 1:
+        raise ValidationError("echo probes need at least one send time")
 
-    send_times = t0_s + np.arange(count, dtype=np.float64) * interval_s
-    delay_ms = np.zeros(count, dtype=np.float64)
-    dropped = np.zeros(count, dtype=bool)
+    flat_times = send_times.reshape(-1)
+    delay_ms = np.zeros(flat_times.size, dtype=np.float64)
+    dropped = np.zeros(flat_times.size, dtype=bool)
 
     for step in roundtrip_steps(traversals):
         state = network.link_state(step.link)
         direction = state.direction_from(step.sender)
-        t = send_times + delay_ms / 1e3
+        t = flat_times + delay_ms / 1e3
         step_ms, step_drop = state.transit_batch(
             direction, packet.total_wire_bytes, packet.fragments, t
         )
@@ -129,5 +136,7 @@ def probe_batch(
     rtt = np.where(rtt > network.config.probe_timeout_s * 1e3, np.nan, rtt)
 
     network.counters.batch_series += 1
-    network.counters.batch_packets += count
-    return BatchEchoSeries(send_times_s=send_times, rtt_ms=rtt)
+    network.counters.batch_packets += flat_times.size
+    return BatchEchoSeries(
+        send_times_s=send_times, rtt_ms=rtt.reshape(send_times.shape)
+    )

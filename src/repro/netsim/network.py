@@ -303,23 +303,20 @@ class NetworkSim:
         self,
         traversals: Sequence[LinkTraversal],
         packet: PacketSpec,
-        count: int,
-        interval_s: float,
-        t0_s: Optional[float] = None,
+        send_times_s: "np.ndarray",
     ) -> "batch.BatchEchoSeries":
-        """Whole echo series in O(links) numpy ops (see :mod:`.batch`).
+        """Echo probes departing at ``send_times_s`` (see :mod:`.batch`).
 
-        Packet *i* of ``count`` departs at ``t0_s + i * interval_s``
-        (``t0_s`` defaults to the simulation clock); per-link jitter and
-        drop decisions are drawn as one vector per link/direction from
-        the same named RNG streams the scalar walker uses.  Same seed ⇒
-        byte-identical series; batch-vs-scalar agreement is statistical,
-        not sample-for-sample (see the module docstring's determinism
-        contract).  Does **not** advance the clock — callers advance it
-        by ``count * interval_s``, like the scalar echo loop.
+        ``send_times_s`` may have any shape — one series' vector or a
+        (flows × probes) matrix — and the returned RTTs share it.
+        Per-link jitter and drop decisions are drawn as one vector per
+        link/direction, in row-major probe order, from the same named
+        RNG streams the scalar walker uses.  Same seed and same calls ⇒
+        byte-identical results; batch-vs-scalar agreement is
+        statistical, not sample-for-sample (see the module docstring's
+        determinism contract).  Does **not** advance the clock.
         """
-        t0 = self.clock.now_s if t0_s is None else t0_s
-        return batch.probe_batch(self, traversals, packet, count, interval_s, t0)
+        return batch.probe_batch(self, traversals, packet, send_times_s)
 
     # -- fluid transfers -------------------------------------------------------------
 

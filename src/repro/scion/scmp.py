@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ValidationError
+from repro.netsim.batch import BatchEchoSeries
 from repro.netsim.clock import SimClock
 from repro.netsim.network import NetworkSim, ServerHealth
 from repro.netsim.packet import SCMP_HEADER_BYTES, PacketSpec
@@ -78,6 +81,42 @@ class ScmpService:
 
     # -- echo -----------------------------------------------------------------
 
+    def _echo_packet(
+        self, path: Path, payload_bytes: int = DEFAULT_PROBE_PAYLOAD
+    ) -> PacketSpec:
+        """The wire shape of one SCMP echo request along ``path``."""
+        return PacketSpec(
+            payload_bytes=payload_bytes + SCMP_HEADER_BYTES,
+            n_hops=path.hop_count,
+            n_segments=path.n_segments,
+            underlay_mtu=self.network.config.underlay_mtu,
+        )
+
+    def answers(self, path: Path, dst_ip: str) -> bool:
+        """False when the destination server is DOWN (no echo replies)."""
+        return self.network.servers.health(path.dst, dst_ip) is not ServerHealth.DOWN
+
+    def echo_batch(
+        self,
+        path: Path,
+        send_times_s: "np.ndarray",
+        *,
+        payload_bytes: int = DEFAULT_PROBE_PAYLOAD,
+    ) -> BatchEchoSeries:
+        """Echo probes along ``path`` departing at ``send_times_s``.
+
+        One :meth:`~repro.netsim.network.NetworkSim.probe_batch` call
+        over a send-time array of any shape — the flow monitor passes a
+        (flows × probes) matrix for every flow pinned to ``path``.
+        Neither advances the clock nor checks server health: callers
+        own both (see :meth:`answers`).
+        """
+        return self.network.probe_batch(
+            path.traversals(self.network.topology),
+            self._echo_packet(path, payload_bytes),
+            send_times_s,
+        )
+
     def echo_series(
         self,
         path: Path,
@@ -93,30 +132,23 @@ class ScmpService:
         intervals (§5.3).
 
         The series is computed by the vectorized batch engine
-        (:meth:`~repro.netsim.network.NetworkSim.probe_batch`) by
-        default; ``NetworkConfig.scalar_fallback=True`` restores the
-        packet-at-a-time walker with its pre-batch RNG draw order.
-        Either way the clock advances by ``count * interval_s`` and
-        probe *i* departs at ``t0 + i * interval_s``.
+        (:meth:`echo_batch`) by default; ``NetworkConfig.scalar_fallback
+        =True`` restores the packet-at-a-time walker with its pre-batch
+        RNG draw order.  Either way the clock advances by
+        ``count * interval_s`` and probe *i* departs at
+        ``t0 + i * interval_s``.
         """
         if count < 1:
             raise ValidationError(f"echo count must be >= 1: {count}")
         if interval_s <= 0:
             raise ValidationError("echo interval must be positive")
-        traversals = path.traversals(self.network.topology)
-        packet = PacketSpec(
-            payload_bytes=payload_bytes + SCMP_HEADER_BYTES,
-            n_hops=path.hop_count,
-            n_segments=path.n_segments,
-            underlay_mtu=self.network.config.underlay_mtu,
-        )
-        server_up = (
-            self.network.servers.health(path.dst, dst_ip) is not ServerHealth.DOWN
-        )
+        server_up = self.answers(path, dst_ip)
         clock = self.network.clock
         if server_up and not self.network.config.scalar_fallback:
-            series = self.network.probe_batch(
-                traversals, packet, count, interval_s, clock.now_s
+            series = self.echo_batch(
+                path,
+                clock.now_s + np.arange(count, dtype=np.float64) * interval_s,
+                payload_bytes=payload_bytes,
             )
             clock.advance(count * interval_s)
             return EchoStats(
@@ -127,6 +159,8 @@ class ScmpService:
             )
         if server_up:
             self.network.counters.scalar_fallback_series += 1
+        traversals = path.traversals(self.network.topology)
+        packet = self._echo_packet(path, payload_bytes)
         rtts: List[float] = []
         for _ in range(count):
             if server_up:

@@ -86,6 +86,11 @@ def _packet(n_hops=5):
     return PacketSpec(payload_bytes=16, n_hops=n_hops, n_segments=2)
 
 
+def _times(count, interval=0.1, t0=0.0):
+    """Send times of one echo series: ``t0 + i * interval``."""
+    return t0 + np.arange(count, dtype=np.float64) * interval
+
+
 def _fresh_net(seed, **config_kwargs):
     return NetworkSim(build_tiny_world(), NetworkConfig(seed=seed, **config_kwargs))
 
@@ -98,16 +103,16 @@ class TestBatchSeriesShape:
         net = _fresh_net(7)
         steps = _path_user_to_leaf(net.topology)
         with pytest.raises(ValidationError):
-            probe_batch(net, [], _packet(), 10, 0.1, 0.0)
+            probe_batch(net, [], _packet(), _times(10))
         with pytest.raises(ValidationError):
-            probe_batch(net, steps, _packet(), 0, 0.1, 0.0)
+            probe_batch(net, steps, _packet(), _times(0))
         with pytest.raises(ValidationError):
-            probe_batch(net, steps, _packet(), 10, 0.0, 0.0)
+            probe_batch(net, steps, _packet(), np.array([-1.0]))
 
     def test_send_times_and_alignment(self):
         net = _fresh_net(7)
         steps = _path_user_to_leaf(net.topology)
-        series = net.probe_batch(steps, _packet(), 30, 0.1, 5.0)
+        series = net.probe_batch(steps, _packet(), _times(30, 0.1, 5.0))
         assert series.count == 30
         assert series.send_times_s[0] == pytest.approx(5.0)
         assert series.send_times_s[-1] == pytest.approx(5.0 + 29 * 0.1)
@@ -131,14 +136,14 @@ class TestBatchSeriesShape:
         net = _fresh_net(7)
         steps = _path_user_to_leaf(net.topology)
         before = net.clock.now_s
-        net.probe_batch(steps, _packet(), 30, 0.1)
+        net.probe_batch(steps, _packet(), _times(30, 0.1))
         assert net.clock.now_s == before
 
     def test_counters_increment(self):
         net = _fresh_net(7)
         steps = _path_user_to_leaf(net.topology)
-        net.probe_batch(steps, _packet(), 30, 0.1)
-        net.probe_batch(steps, _packet(), 10, 0.1)
+        net.probe_batch(steps, _packet(), _times(30, 0.1))
+        net.probe_batch(steps, _packet(), _times(10, 0.1))
         assert net.counters.batch_series == 2
         assert net.counters.batch_packets == 40
 
@@ -149,7 +154,7 @@ class TestBatchSeriesShape:
         floor_ms = 2 * sum(
             net.link_state(s.link).propagation_ms for s in steps
         )
-        series = net.probe_batch(steps, _packet(), 200, 0.1)
+        series = net.probe_batch(steps, _packet(), _times(200, 0.1))
         assert all(r >= floor_ms for r in series.received_rtts())
 
 
@@ -165,7 +170,7 @@ class TestSeededDeterminism:
         def run():
             net = _fresh_net(seed)
             steps = _path_user_to_leaf(net.topology)
-            return net.probe_batch(steps, _packet(), 100, 0.1, 0.0)
+            return net.probe_batch(steps, _packet(), _times(100, 0.1))
 
         first, second = run(), run()
         np.testing.assert_array_equal(first.send_times_s, second.send_times_s)
@@ -187,8 +192,12 @@ class TestSeededDeterminism:
         steps_a = _path_user_to_leaf(build_tiny_world())
         net_a = _fresh_net(1)
         net_b = _fresh_net(2)
-        sa = net_a.probe_batch(_path_user_to_leaf(net_a.topology), _packet(), 50, 0.1)
-        sb = net_b.probe_batch(_path_user_to_leaf(net_b.topology), _packet(), 50, 0.1)
+        sa = net_a.probe_batch(
+            _path_user_to_leaf(net_a.topology), _packet(), _times(50, 0.1)
+        )
+        sb = net_b.probe_batch(
+            _path_user_to_leaf(net_b.topology), _packet(), _times(50, 0.1)
+        )
         assert not np.array_equal(sa.rtt_ms, sb.rtt_ms)
         assert len(steps_a) == 4
 
@@ -220,7 +229,7 @@ class TestBatchScalarAgreement:
                     else:
                         rtts.append(result.rtt_ms)
                 return float(np.mean(rtts)), lost / count
-            series = net.probe_batch(steps, packet, count, 0.1, 0.0)
+            series = net.probe_batch(steps, packet, _times(count, 0.1))
             return (
                 float(np.mean(series.received_rtts())),
                 1.0 - series.received / count,
@@ -252,7 +261,7 @@ class TestRevocationBlackhole:
             ),
             network=net,
         )
-        series = net.probe_batch(steps, _packet(), 500, 0.1, 10.0)
+        series = net.probe_batch(steps, _packet(), _times(500, 0.1, 10.0))
         assert series.received == 0
         assert bool(series.lost_mask.all())
 
@@ -263,7 +272,7 @@ class TestRevocationBlackhole:
         net.add_episode(
             CongestionEpisode.on_links([steps[0].link], 10.0, 20.0, loss=1.0)
         )
-        series = net.probe_batch(steps, _packet(), 300, 0.1, 0.0)
+        series = net.probe_batch(steps, _packet(), _times(300, 0.1))
         send = series.send_times_s
         inside = (send >= 10.0) & (send < 20.0)
         assert bool(series.lost_mask[inside].all())
