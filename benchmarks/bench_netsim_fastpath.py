@@ -1,13 +1,17 @@
 """Fast-path bench: vectorized batch probing vs the per-packet walker.
 
-Two measurements, written to ``benchmarks/output/netsim_fastpath.txt``:
+The per-packet walker is the reference oracle in
+``tests/reference_walker.py`` (``src/`` has only the batch engine), so
+run with ``PYTHONPATH=src:.``.  Two measurements, written to
+``benchmarks/output/netsim_fastpath.txt``:
 
 1. **Microbenchmark** — one echo series per call over chain paths of
-   1/3/7 links (2/4/8 ASes): packets/second through
-   :meth:`~repro.netsim.network.NetworkSim.probe_roundtrip` (scalar)
-   versus :meth:`~repro.netsim.network.NetworkSim.probe_batch`.
-2. **Campaign** — the seeded §6 study campaign end to end with
-   ``scalar_fallback=True`` versus the batch default.
+   1/3/7 links (2/4/8 ASes): packets/second through the reference
+   walker's ``probe_roundtrip`` (scalar) versus
+   :meth:`~repro.netsim.network.NetworkSim.probe_batch`.
+2. **Campaign** — the seeded §6 study campaign end to end with the
+   reference walker patched in for ``ScmpService.echo_series`` versus
+   the batch engine.
 
 ``tools/check_fastpath_speedup.py`` parses the table and fails CI when
 the batch engine stops paying for itself (<10x micro, <3x campaign).
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import time
 from typing import List, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from repro.docdb.client import DocDBClient
 from repro.netsim.config import NetworkConfig
 from repro.netsim.network import LinkTraversal, NetworkSim
 from repro.netsim.packet import PacketSpec
+from repro.scion.scmp import ScmpService
 from repro.scion.snet import ScionHost
 from repro.scionlab.defaults import study_destination_ids
 from repro.suite.cli import seed_servers
@@ -42,6 +48,7 @@ from repro.topology.scionlab import (
     build_scionlab_world,
     scionlab_network_config,
 )
+from tests import reference_walker
 
 OUTPUT_NAME = "netsim_fastpath.txt"
 CHAIN_LINKS = (1, 3, 7)  # 2-, 4- and 8-AS paths
@@ -83,7 +90,7 @@ def _micro_row(n_links: int, probes: int) -> Tuple[float, float, float]:
     steps = _chain_traversals(topology, n_links)
     start = time.perf_counter()
     for i in range(probes):
-        net.probe_roundtrip(steps, packet, t_s=i * 0.1)
+        reference_walker.probe_roundtrip(net, steps, packet, i * 0.1)
     scalar_s = time.perf_counter() - start
 
     net = NetworkSim(topology, NetworkConfig(seed=BENCH_SEED))
@@ -102,30 +109,24 @@ def _micro_row(n_links: int, probes: int) -> Tuple[float, float, float]:
 CAMPAIGN_REPEATS = 3
 
 
-def _one_campaign_run(*, scalar_fallback: bool, iterations: int) -> float:
+def _one_campaign_run(*, scalar: bool, iterations: int) -> float:
     client = DocDBClient()
     db = client["upin"]
     seed_servers(db)
-    net_config = scionlab_network_config(seed=BENCH_SEED)
-    net_config.scalar_fallback = scalar_fallback
-    host = ScionHost(build_scionlab_world(), MY_AS, config=net_config)
+    host = ScionHost(
+        build_scionlab_world(), MY_AS, config=scionlab_network_config(seed=BENCH_SEED)
+    )
     config = SuiteConfig(
         iterations=iterations, destination_ids=study_destination_ids()
     )
     PathsCollector(host, db, config).collect()
-    start = time.perf_counter()
-    report = TestRunner(host, db, config).run()
-    elapsed = time.perf_counter() - start
+    echo_series = reference_walker.echo_series if scalar else ScmpService.echo_series
+    with mock.patch.object(ScmpService, "echo_series", echo_series):
+        start = time.perf_counter()
+        report = TestRunner(host, db, config).run()
+        elapsed = time.perf_counter() - start
     assert report.paths_tested == 80 * iterations
     return elapsed
-
-
-def _campaign_seconds(*, scalar_fallback: bool, iterations: int) -> float:
-    """Best of :data:`CAMPAIGN_REPEATS` end-to-end campaign timings."""
-    return min(
-        _one_campaign_run(scalar_fallback=scalar_fallback, iterations=iterations)
-        for _ in range(CAMPAIGN_REPEATS)
-    )
 
 
 def _campaign_pair(iterations: int) -> Tuple[float, float]:
@@ -138,12 +139,8 @@ def _campaign_pair(iterations: int) -> Tuple[float, float]:
     """
     scalar_ts, batch_ts = [], []
     for _ in range(CAMPAIGN_REPEATS):
-        scalar_ts.append(
-            _one_campaign_run(scalar_fallback=True, iterations=iterations)
-        )
-        batch_ts.append(
-            _one_campaign_run(scalar_fallback=False, iterations=iterations)
-        )
+        scalar_ts.append(_one_campaign_run(scalar=True, iterations=iterations))
+        batch_ts.append(_one_campaign_run(scalar=False, iterations=iterations))
     return min(scalar_ts), min(batch_ts)
 
 
@@ -167,8 +164,8 @@ def run_fastpath_table(*, probes: int, iterations: int) -> str:
         "",
         f"  study campaign end to end (5 destinations x {iterations} "
         f"iteration(s), 80 paths/iteration)",
-        f"  scalar_fallback=True : {scalar_s:>7.2f} s",
-        f"  batch (default)      : {batch_s:>7.2f} s",
+        f"  reference walker     : {scalar_s:>7.2f} s",
+        f"  batch engine         : {batch_s:>7.2f} s",
         f"  campaign speedup: {scalar_s / batch_s:.1f}x",
     ]
     return "\n".join(lines)

@@ -4,6 +4,7 @@ Not figures from the paper — these keep the simulator and the document
 store honest about their own performance (profiling-first workflow).
 """
 
+import numpy as np
 import pytest
 
 from repro.docdb.client import DocDBClient
@@ -37,10 +38,12 @@ def test_bench_ping_probe(benchmark, scionlab_host):
     traversals = path.traversals(scionlab_host.topology)
     packet = PacketSpec(payload_bytes=16, n_hops=path.hop_count)
 
-    result = benchmark(
-        lambda: scionlab_host.network.probe_roundtrip(traversals, packet, 1.0)
+    send_times = np.array([1.0])
+
+    series = benchmark(
+        lambda: scionlab_host.network.probe_batch(traversals, packet, send_times)
     )
-    assert result.rtt_ms is None or result.rtt_ms > 0
+    assert series.received == 0 or series.rtt_ms[0] > 0
 
 
 def test_bench_fluid_transfer(benchmark, scionlab_host):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.netsim.network import ServerHealth
-from repro.netsim.packet import SCMP_HEADER_BYTES, PacketSpec
 from repro.scion.path import Path
 from repro.scion.snet import ScionHost
 from repro.topology.isd_as import ISDAS
@@ -131,12 +130,8 @@ class ShowpathsApp:
         return ShowpathsResult(destination=dst, entries=tuple(entries))
 
     def _probe_status(self, path: Path) -> str:
-        packet = PacketSpec(
-            payload_bytes=SCMP_HEADER_BYTES,
-            n_hops=path.hop_count,
-            n_segments=path.n_segments,
-            underlay_mtu=self.host.network.config.underlay_mtu,
+        """One empty-payload echo sent now; the clock does not advance."""
+        series = self.host.scmp.echo_batch(
+            path, [self.host.clock.now_s], payload_bytes=0
         )
-        traversals = path.traversals(self.host.topology)
-        result = self.host.network.probe_roundtrip(traversals, packet)
-        return "timeout" if result.lost else "alive"
+        return "timeout" if series.received == 0 else "alive"

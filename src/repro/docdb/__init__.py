@@ -16,7 +16,8 @@ selection.  This package provides the same surface offline:
   invalidate once per batch),
 * an aggregation-pipeline subset (``$match``, ``$group``, ``$sort``,
   ``$unwind``, ...) with leading-``$match`` index pushdown,
-* JSONL snapshot persistence plus an append-only operation journal,
+* JSONL snapshot persistence plus a checksummed write-ahead log with
+  crash recovery,
 * certificate-based write access control and signed-document
   verification (the paper's §4.1.4 security design).
 
@@ -32,7 +33,7 @@ from repro.docdb.planner import QueryPlanner, format_plan
 from repro.docdb.cache import QueryCache, freeze
 from repro.docdb.database import Database
 from repro.docdb.client import DocDBClient
-from repro.docdb.storage import JsonlStore, OperationJournal
+from repro.docdb.storage import JsonlStore
 from repro.docdb.wal import WAL_OPS, WalRecord, WalWriter
 from repro.docdb.recovery import (
     Checkpoint,
@@ -62,7 +63,6 @@ __all__ = [
     "Database",
     "DocDBClient",
     "JsonlStore",
-    "OperationJournal",
     "WalWriter",
     "WalRecord",
     "WAL_OPS",

@@ -1,28 +1,23 @@
-"""Persistence: JSONL snapshots and an append-only operation journal.
+"""Persistence: JSONL snapshots.
 
-Two durability mechanisms, matching the trade-off the paper discusses in
-§4.2.2 (batched inserts risk losing a destination's worth of samples on
-a crash):
-
-* :class:`JsonlStore` — full snapshots, one ``<db>.<collection>.jsonl``
-  file per collection.  Database names must not contain ``.`` (the
-  separator between database and collection in the filename); dotted
-  names are rejected with :class:`~repro.errors.StorageError` instead
-  of silently corrupting ``list_databases()``.
-* :class:`OperationJournal` — the seed-era JSONL journal, kept for
-  backwards compatibility only.  **Deprecated**: it has no checksums,
-  no segments, and its replay *skips* (rather than detects) interior
-  corruption.  New code uses the checksummed segmented WAL
-  (:mod:`repro.docdb.wal`) wired automatically by
-  :meth:`repro.docdb.client.DocDBClient.open` and recovered by
-  :mod:`repro.docdb.recovery` — see docs/STORAGE.md.
+:class:`JsonlStore` writes full snapshots, one
+``<db>.<collection>.jsonl`` file per collection.  Database names must
+not contain ``.`` (the separator between database and collection in the
+filename); dotted names are rejected with
+:class:`~repro.errors.StorageError` instead of silently corrupting
+``list_databases()``.  Per-operation durability — the trade-off the
+paper discusses in §4.2.2, where batched inserts risk losing a
+destination's worth of samples on a crash — is the checksummed
+segmented WAL (:mod:`repro.docdb.wal`), wired automatically by
+:meth:`repro.docdb.client.DocDBClient.open` and recovered by
+:mod:`repro.docdb.recovery` — see docs/STORAGE.md.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import List
 
 from repro.docdb.database import Database
 from repro.errors import StorageError
@@ -133,83 +128,3 @@ class JsonlStore:
                         unique=bool(spec.get("unique", False)),
                     )
 
-
-class OperationJournal:
-    """Append-only log of mutating operations with replay support.
-
-    .. deprecated:: kept only for seed compatibility.  No checksums, no
-       segment rotation, and :meth:`iter_records` *silently truncates*
-       at the first undecodable line — it cannot distinguish a torn
-       tail from interior corruption.  Use the automatic WAL attached
-       by :meth:`repro.docdb.client.DocDBClient.open` instead.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._fh = open(path, "a", encoding="utf-8")
-        self.appended = 0
-
-    def append(
-        self,
-        op: str,
-        db: str,
-        collection: str,
-        payload: Dict[str, Any],
-    ) -> None:
-        if op not in {"insert", "insert_many", "update", "delete"}:
-            raise StorageError(f"unknown journal op: {op}")
-        record = {"op": op, "db": db, "coll": collection, "payload": payload}
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self.appended += 1
-
-    def flush(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self) -> "OperationJournal":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # -- replay ---------------------------------------------------------------
-
-    @staticmethod
-    def iter_records(path: str) -> Iterator[Dict[str, Any]]:
-        """Yield journal records, stopping cleanly at a torn final line."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        yield json.loads(line)
-                    except json.JSONDecodeError:
-                        return  # torn write at crash point: ignore the tail
-        except FileNotFoundError:
-            return
-
-    @classmethod
-    def replay(cls, path: str, client: "Any") -> int:
-        """Re-apply journalled operations onto a client; returns count."""
-        count = 0
-        for record in cls.iter_records(path):
-            coll = client[record["db"]][record["coll"]]
-            payload = record["payload"]
-            if record["op"] == "insert":
-                coll.insert_one(payload["document"])
-            elif record["op"] == "insert_many":
-                coll.insert_many(payload["documents"])
-            elif record["op"] == "update":
-                coll.update_many(payload["filter"], payload["update"])
-            elif record["op"] == "delete":
-                coll.delete_many(payload["filter"])
-            count += 1
-        return count

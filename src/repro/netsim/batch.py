@@ -1,18 +1,16 @@
-"""The vectorized measurement fast path: whole echo series in O(links).
+"""The data plane's probe engine: whole echo series in O(links).
 
 The paper's test-suite is measurement-bound: every campaign iteration
 runs ``scion ping -c 30 --interval 0.1s`` plus four bwtest transfers
-over every retained path to 21 destinations (§3.3, §5.3).  The scalar
-data plane walks every :class:`~repro.netsim.network.LinkTraversal`
-once *per packet*, making scalar numpy RNG calls per link per direction
-— O(count × links) Python work.  :func:`probe_batch` computes the same
-series in O(links) numpy operations:
+over every retained path to 21 destinations (§3.3, §5.3).  Walking every
+:class:`~repro.netsim.network.LinkTraversal` once *per packet* with
+scalar numpy RNG calls would cost O(count × links) Python work;
+:func:`probe_batch` computes a series in O(links) numpy operations:
 
 * per-link static terms (propagation, serialization) are computed once;
 * cross-traffic utilization is gathered through
   :meth:`~repro.netsim.procs.UtilizationProcess.values_at` (vectorized
-  over the shared AR(1) grid cache, so batch and scalar readers see the
-  exact same process values);
+  over the shared AR(1) grid cache);
 * per-link jitter is one ``normal`` vector and the drop decision one
   vectorized Bernoulli per link/direction, over all probes of the call;
 * cumulative delays propagate by running vector sums, and a first-drop
@@ -21,21 +19,21 @@ series in O(links) numpy operations:
   are fixed-size vectors, so a dropped packet keeps its lane without
   perturbing any other packet's samples).
 
-The caller passes the send times, in any shape: ``echo_series`` one
-``t0 + arange(count) * interval`` vector, the flow monitor a
+It is the only probe code path.  The caller passes the send times, in
+any shape: ``echo_series`` one ``t0 + arange(count) * interval`` vector,
+traceroute one vector per hop over the hop's traversal prefix,
+``showpaths --probe`` a single send time, the flow monitor a
 (flows × probes) matrix per pinned path, so one call probes every flow
 on that path.  Noise is drawn over the probes in row-major order.
 
 Determinism contract (property-tested in
-``tests/test_netsim_fastpath.py``):
-
-* same seed ⇒ byte-identical series across runs and across 1-vs-8
-  parallel workers, in both batch and scalar modes;
-* batch and scalar modes agree statistically (matched mean RTT and loss
-  fraction on ≥1k-sample series) but **not** sample-for-sample — batch
-  draws consume the per-link RNG streams in vector-sized chunks;
-* ``NetworkConfig.scalar_fallback=True`` preserves the pre-batch
-  packet-at-a-time semantics byte-for-byte.
+``tests/test_netsim_fastpath.py``): same seed and same calls ⇒
+byte-identical series across runs and across 1-vs-8 parallel workers.
+A per-packet reference walker in ``tests/reference_walker.py`` draws
+the same streams one packet at a time; the two agree statistically
+(matched mean RTT and loss fraction on ≥1k-sample series), not
+sample-for-sample, because a batch draw consumes a link's stream in
+vector-sized chunks.
 """
 
 from __future__ import annotations
@@ -101,8 +99,7 @@ def probe_batch(
     (flows × probes) matrix for every flow pinned to this path in one
     monitor pass.  Each link draws its jitter and drop vectors over the
     probes in row-major order.  A packet's arrival time at each link is
-    its send time plus the accumulated delay so far, exactly mirroring
-    the scalar walker's clock arithmetic.  Probes slower than
+    its send time plus the accumulated delay so far.  Probes slower than
     ``config.probe_timeout_s`` count as lost, like the real
     ``scion ping`` deadline.  The result has the shape of
     ``send_times_s``.

@@ -89,17 +89,6 @@ class NetworkConfig:
     #: SCMP probe timeout — probes slower than this count as lost.
     probe_timeout_s: float = 2.0
 
-    #: Route ``ScmpService.echo_series`` through the scalar per-packet
-    #: walker instead of the vectorized batch engine
-    #: (:mod:`repro.netsim.batch`).  The scalar path preserves the
-    #: pre-batch RNG draw order byte-for-byte (pinned by the seeded
-    #: study-campaign golden test); batch mode is the default and is
-    #: itself seed-deterministic, but consumes the per-link streams in
-    #: vector-sized chunks.  Only ``echo_series`` (ping and the
-    #: measurement campaign) reads this flag: the flow monitor's pass
-    #: always probes through the batch engine.
-    scalar_fallback: bool = False
-
     def pps_for(self, ia: ISDAS) -> PpsLimits:
         return self.pps_overrides.get(ia, self.default_pps)
 

@@ -24,7 +24,6 @@ class NetCounters:
     __slots__ = (
         "batch_series",
         "batch_packets",
-        "scalar_fallback_series",
         "scalar_probes",
         "sampler_hits",
         "sampler_misses",
@@ -32,15 +31,13 @@ class NetCounters:
     )
 
     def __init__(self) -> None:
-        #: Echo series answered by the vectorized batch engine.
+        #: ``probe_batch`` calls (echo series, traceroute hops, showpaths
+        #: probes, monitor path groups).
         self.batch_series = 0
         #: Echo packets computed inside those batch series.
         self.batch_packets = 0
-        #: Echo series that took the scalar per-packet fallback
-        #: (``NetworkConfig.scalar_fallback=True``).
-        self.scalar_fallback_series = 0
-        #: Individual scalar round-trip probes (fallback series packets,
-        #: traceroute partial probes, direct ``probe_roundtrip`` calls).
+        #: Always 0: every probe goes through the batch engine.  Kept
+        #: because ``perfbench/counters.py`` reads it.
         self.scalar_probes = 0
         #: Per-link sampling-cache hits ((direction, window) integrals).
         self.sampler_hits = 0

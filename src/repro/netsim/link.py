@@ -9,7 +9,6 @@ own pps budget (taken from the sending AS's router limits).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -35,14 +34,6 @@ class LinkDirection(enum.Enum):
 
     A_TO_B = "ab"
     B_TO_A = "ba"
-
-
-@dataclass(frozen=True)
-class TransitSample:
-    """Outcome of pushing one packet across one link."""
-
-    delay_ms: float
-    dropped: bool
 
 
 class LinkState:
@@ -119,54 +110,12 @@ class LinkState:
     def _receiver_sys(self, direction: LinkDirection) -> AutonomousSystem:
         return self._b if direction is LinkDirection.A_TO_B else self._a
 
-    def capacity_bps(self, direction: LinkDirection) -> float:
-        mbps = (
-            self.spec.capacity_ab_mbps
-            if direction is LinkDirection.A_TO_B
-            else self.spec.capacity_ba_mbps
-        )
-        return mbps * 1e6
-
-    def utilization(self, direction: LinkDirection, t_s: float) -> float:
-        return self._util[direction].value_at(t_s)
-
     def mean_utilization(
         self, direction: LinkDirection, t0_s: float, t1_s: float
     ) -> float:
         return self._util[direction].mean_over(t0_s, t1_s)
 
-    # -- per-packet transit -------------------------------------------------------
-
-    def transit_packet(
-        self, direction: LinkDirection, wire_bytes: int, n_fragments: int, t_s: float
-    ) -> TransitSample:
-        """Sample delay and drop for one packet crossing this link.
-
-        Delay = propagation + serialization + utilization-driven queueing
-        + per-transit jitter (the receiving AS's router adds the jitter —
-        this is where §6.1's jittery ASes enter).
-        """
-        cap = self.capacity_bps(direction)
-        rho = self.utilization(direction, t_s)
-        extra_loss, cap_factor = self.episodes.disturbance(self.spec, t_s)
-
-        serialization_ms = wire_bytes * 8.0 / cap * 1e3
-        queue_ms = self.config.queue_scale_ms * rho / max(1e-6, 1.0 - rho)
-        jitter_scale = self.config.jitter_for(self._receiver_sys(direction).isd_as)
-        jitter_ms = float(abs(self._noise.normal(0.0, jitter_scale)))
-
-        # Drop decision: residual loss, fragment compounding, episodes.
-        base = self.spec.base_loss + self.config.default_base_loss
-        per_fragment_survive = (1.0 - base) * (1.0 - extra_loss)
-        if cap_factor <= 0.0 and extra_loss >= 1.0:
-            per_fragment_survive = 0.0
-        survive = per_fragment_survive ** max(1, n_fragments)
-        dropped = bool(self._noise.random() > survive)
-
-        delay_ms = self.propagation_ms + serialization_ms + queue_ms + jitter_ms
-        return TransitSample(delay_ms=delay_ms, dropped=dropped)
-
-    # -- vectorized transit (the measurement fast path) -----------------------------
+    # -- packet transit -----------------------------------------------------------
 
     def transit_batch(
         self,
@@ -175,19 +124,19 @@ class LinkState:
         n_fragments: int,
         t_array: "np.ndarray",
     ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """Vectorized :meth:`transit_packet`: one echo series in one call.
+        """Delay and drop for a batch of packets crossing this link.
 
         ``t_array`` holds the per-packet arrival times at this link;
-        returns ``(delay_ms, dropped)`` arrays of the same shape.  The
-        static terms (propagation, serialization) are computed once,
-        utilization is gathered via :meth:`UtilizationProcess.values_at`,
-        per-packet jitter is one ``normal(size=n)`` vector and the drop
-        decision one vectorized Bernoulli — all against the same named
-        per-link RNG stream the scalar path uses, so a fixed sequence of
-        batch calls is seed-deterministic.  Batch draws consume the
-        stream differently from per-packet draws, which is why the
-        determinism contract is *per mode*: batch and scalar agree
-        statistically (property-tested), not sample-for-sample.
+        returns ``(delay_ms, dropped)`` arrays of the same shape.
+        Delay = propagation + serialization + utilization-driven
+        queueing + per-transit jitter (the receiving AS's router adds
+        the jitter — this is where §6.1's jittery ASes enter).  The
+        static terms are computed once, utilization is gathered via
+        :meth:`UtilizationProcess.values_at`, jitter is one
+        ``normal(size=n)`` vector and the drop decision (residual loss,
+        fragment compounding, episodes) one vectorized Bernoulli, both
+        drawn from this link's named RNG stream, so a fixed sequence of
+        calls is seed-deterministic.
         """
         if isinstance(t_array, np.ndarray) and t_array.dtype == np.float64:
             t = t_array

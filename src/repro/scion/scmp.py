@@ -1,10 +1,12 @@
 """SCMP services: echo (ping) and traceroute over the simulated network.
 
 These are the network-level primitives behind ``scion ping`` and
-``scion traceroute`` (§3.3).  Echo probes advance the shared simulation
-clock by their send interval, so a 30-probe ping occupies 3 simulated
-seconds — which is what lets time-windowed congestion episodes knock out
-*consecutive* measurements exactly as in Fig 9.
+``scion traceroute`` (§3.3).  Every probe goes through the batch engine
+(:meth:`~repro.netsim.network.NetworkSim.probe_batch`): a ping series is
+one call, a traceroute one call per hop.  Echo probes advance the shared
+simulation clock by their send interval, so a 30-probe ping occupies 3
+simulated seconds — which is what lets time-windowed congestion
+episodes knock out *consecutive* measurements exactly as in Fig 9.
 """
 
 from __future__ import annotations
@@ -129,50 +131,38 @@ class ScmpService:
         """Send ``count`` SCMP echoes along ``path``; advances the clock.
 
         Matches the paper's measurement command: 30 probes at 0.1 s
-        intervals (§5.3).
-
-        The series is computed by the vectorized batch engine
-        (:meth:`echo_batch`) by default; ``NetworkConfig.scalar_fallback
-        =True`` restores the packet-at-a-time walker with its pre-batch
-        RNG draw order.  Either way the clock advances by
-        ``count * interval_s`` and probe *i* departs at
-        ``t0 + i * interval_s``.
+        intervals (§5.3).  Probe *i* departs at ``t0 + i * interval_s``
+        and the whole series is one :meth:`echo_batch` call; the clock
+        then advances by ``count * interval_s``.  A DOWN server answers
+        nothing.
         """
         if count < 1:
             raise ValidationError(f"echo count must be >= 1: {count}")
         if interval_s <= 0:
             raise ValidationError("echo interval must be positive")
-        server_up = self.answers(path, dst_ip)
         clock = self.network.clock
-        if server_up and not self.network.config.scalar_fallback:
-            series = self.echo_batch(
-                path,
-                clock.now_s + np.arange(count, dtype=np.float64) * interval_s,
-                payload_bytes=payload_bytes,
-            )
-            clock.advance(count * interval_s)
+        destination = path.dst.address(dst_ip)
+        if not self.answers(path, dst_ip):
+            # One step per probe: ``count`` additions of ``interval_s``
+            # need not equal ``count * interval_s``, and the seeded
+            # outputs of fault-injected campaigns depend on these exact
+            # clock values.
+            for _ in range(count):
+                clock.advance(interval_s)
             return EchoStats(
-                destination=path.dst.address(dst_ip),
-                sent=count,
-                received=series.received,
-                rtts_ms=series.received_rtts(),
+                destination=destination, sent=count, received=0, rtts_ms=()
             )
-        if server_up:
-            self.network.counters.scalar_fallback_series += 1
-        traversals = path.traversals(self.network.topology)
-        packet = self._echo_packet(path, payload_bytes)
-        rtts: List[float] = []
-        for _ in range(count):
-            if server_up:
-                result = self.network.probe_roundtrip(traversals, packet)
-                if not result.lost:
-                    rtts.append(result.rtt_ms)
-            clock.advance(interval_s)
+        series = self.echo_batch(
+            path,
+            clock.now_s + np.arange(count, dtype=np.float64) * interval_s,
+            payload_bytes=payload_bytes,
+        )
+        clock.advance(count * interval_s)
         return EchoStats(
-            destination=path.dst.address(dst_ip),
+            destination=destination,
             sent=count,
-            received=len(rtts),
-            rtts_ms=tuple(rtts),
+            received=series.received,
+            rtts_ms=series.received_rtts(),
         )
 
     # -- traceroute ------------------------------------------------------------------
@@ -184,21 +174,30 @@ class ScmpService:
         probes_per_hop: int = 3,
         interval_s: float = 0.05,
     ) -> List[TracerouteHop]:
-        """Probe every router interface along ``path`` in order."""
+        """Probe every router interface along ``path`` in order.
+
+        Each hop is one :meth:`~repro.netsim.network.NetworkSim.
+        probe_batch` call over the hop's traversal prefix, with an
+        empty payload.  Probe *j* of a hop departs at the clock value
+        read before its ``advance(interval_s)``, so the clock steps once
+        per probe.  Lost probes read ``None``.
+        """
+        if probes_per_hop < 1:
+            raise ValidationError(
+                f"traceroute needs >= 1 probe per hop: {probes_per_hop}"
+            )
+        if interval_s < 0:
+            raise ValidationError("traceroute interval must not be negative")
         traversals = path.traversals(self.network.topology)
-        packet = PacketSpec(
-            payload_bytes=SCMP_HEADER_BYTES,
-            n_hops=path.hop_count,
-            n_segments=path.n_segments,
-            underlay_mtu=self.network.config.underlay_mtu,
-        )
+        packet = self._echo_packet(path, payload_bytes=0)
+        clock = self.network.clock
         hops: List[TracerouteHop] = []
         for idx in range(1, len(traversals) + 1):
-            rtts: List[Optional[float]] = []
-            for _ in range(probes_per_hop):
-                result = self.network.probe_partial(traversals, idx, packet)
-                rtts.append(result.rtt_ms)
-                self.network.clock.advance(interval_s)
+            send_times = np.empty(probes_per_hop, dtype=np.float64)
+            for j in range(probes_per_hop):
+                send_times[j] = clock.now_s
+                clock.advance(interval_s)
+            series = self.network.probe_batch(traversals[:idx], packet, send_times)
             step = traversals[idx - 1]
             arrived = step.link.other(step.sender)
             hops.append(
@@ -206,7 +205,10 @@ class ScmpService:
                     index=idx,
                     isd_as=arrived,
                     interface=step.link.interface_of(arrived),
-                    rtts_ms=tuple(rtts),
+                    rtts_ms=tuple(
+                        None if math.isnan(rtt) else float(rtt)
+                        for rtt in series.rtt_ms
+                    ),
                 )
             )
         return hops

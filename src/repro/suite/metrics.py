@@ -109,7 +109,6 @@ _DB_STAT_NAMES = {
 # fast path", whose metric table is diff-tested against this mapping.
 NET_BATCH_SERIES = "net_batch_probe_series"
 NET_BATCH_PACKETS = "net_batch_packets"
-NET_SCALAR_FALLBACKS = "net_scalar_fallback_series"
 NET_SCALAR_PROBES = "net_scalar_probes"
 NET_SAMPLER_HITS = "net_sampler_cache_hits"
 NET_SAMPLER_MISSES = "net_sampler_cache_misses"
@@ -119,7 +118,6 @@ NET_LEDGER_PRUNED = "net_ledger_pruned_flows"
 _NET_STAT_NAMES = {
     "batch_series": NET_BATCH_SERIES,
     "batch_packets": NET_BATCH_PACKETS,
-    "scalar_fallback_series": NET_SCALAR_FALLBACKS,
     "scalar_probes": NET_SCALAR_PROBES,
     "sampler_hits": NET_SAMPLER_HITS,
     "sampler_misses": NET_SAMPLER_MISSES,
@@ -376,13 +374,10 @@ def format_metrics(snapshot: Optional[Dict[str, Any]], *, indent: str = "  ") ->
         lines.append(line)
     batch_series = counter_value(snapshot, NET_BATCH_SERIES)
     batch_packets = counter_value(snapshot, NET_BATCH_PACKETS)
-    scalar_series = counter_value(snapshot, NET_SCALAR_FALLBACKS)
-    scalar_probes = counter_value(snapshot, NET_SCALAR_PROBES)
-    if batch_series or scalar_series or scalar_probes:
+    if batch_series:
         lines.append(
             f"{indent}data plane: {batch_series:g} batch series "
-            f"({batch_packets:g} packets), {scalar_series:g} scalar "
-            f"fallback series, {scalar_probes:g} scalar probes"
+            f"({batch_packets:g} packets)"
         )
         sampler_h = counter_value(snapshot, NET_SAMPLER_HITS)
         sampler_m = counter_value(snapshot, NET_SAMPLER_MISSES)

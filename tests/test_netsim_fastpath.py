@@ -4,13 +4,15 @@ Covers the batch engine end to end:
 
 * seeded determinism of :func:`repro.netsim.batch.probe_batch` (same
   seed ⇒ byte-identical rtt vectors, property-tested over seeds),
-* batch/scalar statistical agreement on mean RTT and loss fraction at
-  count ≥ 1000,
+* batch/reference statistical agreement on mean RTT and loss fraction
+  at count ≥ 1000, against the per-packet walker in
+  ``tests/reference_walker.py``,
 * monitor-revocation blackholes drop 100 % of batch probes too,
-* ``scalar_fallback=True`` reproduces the pre-batch campaign
-  byte-for-byte (pinned sha256 golden),
-* a seeded traceroute golden pinning ``probe_partial``'s interleaved
-  stream semantics,
+* the reference walker reproducing the pre-batch campaign and seeded
+  traceroute byte-for-byte (pinned sha256 and RTT goldens),
+* goldens pinning the batch-engine campaign, traceroute and monitor
+  journals,
+* traceroute argument validation,
 * the flow ledger staying bounded under ``register_flow=True``,
 * the sciond sequence index (no recombination on repeated lookups),
 * the link sampling cache (hits + epoch invalidation),
@@ -19,6 +21,7 @@ Covers the batch engine end to end:
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,12 +31,14 @@ from hypothesis import strategies as st
 from repro.docdb.client import DocDBClient
 from repro.errors import ValidationError
 from repro.monitor.revocation import Revocation, RevocationStore
+from repro.monitor.scenario import run_outage_scenario
 from repro.netsim.batch import probe_batch, roundtrip_steps
 from repro.netsim.config import NetworkConfig
 from repro.netsim.congestion import CongestionEpisode
 from repro.netsim.link import LinkDirection
-from repro.netsim.network import LinkTraversal, NetworkSim
+from repro.netsim.network import LinkTraversal, NetworkSim, ServerHealth
 from repro.netsim.packet import PacketSpec
+from repro.scion.scmp import ScmpService
 from repro.scion.snet import ScionHost
 from repro.scionlab.defaults import study_destination_ids
 from repro.suite import metrics as m
@@ -48,6 +53,7 @@ from repro.topology.scionlab import (
     scionlab_network_config,
 )
 
+from tests import reference_walker
 from tests.helpers import build_tiny_world
 
 FAST_SETTINGS = settings(max_examples=10, deadline=None)
@@ -56,19 +62,50 @@ SLOW_SETTINGS = settings(max_examples=5, deadline=None)
 #: sha256 over the sorted stats documents of the seeded study campaign
 #: (seed 20231112, 1 iteration, 5 destinations, 80 docs), captured on
 #: the packet-at-a-time data plane *before* the batch engine landed.
+#: The reference walker still reproduces it.
 PRE_BATCH_CAMPAIGN_SHA256 = (
     "0c83761f92109849855e8015ebde47c1e52ab0b25c30fc017ff058af5bdf62e3"
 )
 
-#: Seeded traceroute golden (ScionHost.scionlab(seed=7), best path to
-#: 16-ffaa:0:1002), captured before this PR.  Pins ``probe_partial``'s
-#: interleaved per-link stream consumption — see its docstring.
+#: The same campaign on the batch engine, captured before the scalar
+#: walker left ``src/``: deleting it must not move a single byte.
+BATCH_CAMPAIGN_SHA256 = (
+    "5235d7d75502654dea24e1dd827bfafc8c206df5b5e610ff682b042c914e2100"
+)
+
+#: sha256 of ``json.dumps(events, sort_keys=True, default=str)`` over
+#: the scripted outage's journal (``run_outage_scenario(rounds=8)``,
+#: 24 events) and the same with ``extra_flows=200`` (4626 events),
+#: captured before the scalar walker left ``src/``.
+OUTAGE_JOURNAL_SHA256 = (
+    24,
+    "d1d92589cd9cb3725d06722ea8084405581725b7b62c4943210a5255ab31a5ba",
+)
+OUTAGE_200_FLOWS_JOURNAL_SHA256 = (
+    4626,
+    "a691bfe6ec0e24028c6fbd47d030b54d5030c319a81c03c4f45ebe72f43380d7",
+)
+
+#: Seeded traceroute golden of the per-packet walker
+#: (ScionHost.scionlab(seed=7), best path to 16-ffaa:0:1002).  Pins the
+#: reference walker's interleaved per-link stream consumption: probe
+#: depth 2 advances link 1's stream past what depth 1 saw.
 TRACEROUTE_GOLDEN = [
     (1, "17-ffaa:0:1107", 3, [9.358807, 9.499288, 9.779065]),
     (2, "17-ffaa:0:1102", 2, [10.614123, 10.734314, 10.328839]),
     (3, "19-ffaa:0:1301", 4, [19.73079, 20.690527, 19.938622]),
     (4, "16-ffaa:0:1001", 7, [24.763844, 25.496291, 25.290918]),
     (5, "16-ffaa:0:1002", 1, [40.266703, 42.175547, 41.283817]),
+]
+
+#: The same traceroute on the batch engine: one ``probe_batch`` call
+#: per hop over the hop's traversal prefix.
+BATCH_TRACEROUTE_GOLDEN = [
+    (1, "17-ffaa:0:1107", 3, [9.211037, 9.417593, 9.819304]),
+    (2, "17-ffaa:0:1102", 2, [10.662512, 10.196335, 10.401965]),
+    (3, "19-ffaa:0:1301", 4, [20.760542, 19.244496, 19.934685]),
+    (4, "16-ffaa:0:1001", 7, [25.042517, 25.607221, 24.70639]),
+    (5, "16-ffaa:0:1002", 1, [41.612137, 41.544283, 40.384614]),
 ]
 
 
@@ -91,8 +128,8 @@ def _times(count, interval=0.1, t0=0.0):
     return t0 + np.arange(count, dtype=np.float64) * interval
 
 
-def _fresh_net(seed, **config_kwargs):
-    return NetworkSim(build_tiny_world(), NetworkConfig(seed=seed, **config_kwargs))
+def _fresh_net(seed):
+    return NetworkSim(build_tiny_world(), NetworkConfig(seed=seed))
 
 
 # -- shape + bookkeeping -------------------------------------------------------
@@ -206,40 +243,37 @@ class TestBatchScalarAgreement:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @SLOW_SETTINGS
     def test_mean_rtt_and_loss_agree_at_1k(self, seed):
-        """Batch and scalar series agree statistically at count ≥ 1000.
+        """The batch engine and the per-packet reference walker agree
+        statistically at count ≥ 1000.
 
-        The modes consume the per-link streams in different chunk
-        shapes, so the comparison is distributional, not sample-wise:
-        matched mean RTT (within 2 % or 0.5 ms) and loss fraction
-        (within 2 points) over 1000 probes.
+        They consume the per-link streams in different chunk shapes, so
+        the comparison is distributional, not sample-wise: matched mean
+        RTT (within 2 % or 0.5 ms) and loss fraction (within 2 points)
+        over 1000 probes.
         """
         count = 1000
         packet = _packet()
 
-        def series_stats(scalar):
-            net = _fresh_net(seed, scalar_fallback=scalar)
-            steps = _path_user_to_leaf(net.topology)
-            if scalar:
-                rtts = []
-                lost = 0
-                for i in range(count):
-                    result = net.probe_roundtrip(steps, packet, t_s=i * 0.1)
-                    if result.lost:
-                        lost += 1
-                    else:
-                        rtts.append(result.rtt_ms)
-                return float(np.mean(rtts)), lost / count
-            series = net.probe_batch(steps, packet, _times(count, 0.1))
-            return (
-                float(np.mean(series.received_rtts())),
-                1.0 - series.received / count,
-            )
+        net = _fresh_net(seed)
+        steps = _path_user_to_leaf(net.topology)
+        rtts = [
+            reference_walker.probe_roundtrip(net, steps, packet, i * 0.1)
+            for i in range(count)
+        ]
+        received = [r for r in rtts if r is not None]
+        scalar_mean = float(np.mean(received))
+        scalar_loss = 1.0 - len(received) / count
 
-        scalar_mean, scalar_loss = series_stats(True)
-        batch_mean, batch_loss = series_stats(False)
+        net = _fresh_net(seed)
+        series = net.probe_batch(
+            _path_user_to_leaf(net.topology), packet, _times(count, 0.1)
+        )
+        batch_mean = float(np.mean(series.received_rtts()))
+        batch_loss = 1.0 - series.received / count
+
         assert batch_mean == pytest.approx(
             scalar_mean, rel=0.02, abs=0.5
-        ), "mean RTT diverged between batch and scalar modes"
+        ), "mean RTT diverged between the batch engine and the reference"
         assert abs(batch_loss - scalar_loss) < 0.02
 
 
@@ -281,16 +315,16 @@ class TestRevocationBlackhole:
         assert outside_received > 0.9 * int(np.count_nonzero(~inside))
 
 
-# -- pre-batch byte-compatibility goldens -------------------------------------
+# -- goldens -------------------------------------------------------------------
 
 
-def _campaign_digest(*, scalar_fallback):
+def _campaign_digest():
     client = DocDBClient()
     db = client["upin"]
     seed_servers(db)
-    net_config = scionlab_network_config(seed=20231112)
-    net_config.scalar_fallback = scalar_fallback
-    host = ScionHost(build_scionlab_world(), MY_AS, config=net_config)
+    host = ScionHost(
+        build_scionlab_world(), MY_AS, config=scionlab_network_config(seed=20231112)
+    )
     config = SuiteConfig(iterations=1, destination_ids=study_destination_ids())
     PathsCollector(host, db, config).collect()
     report = TestRunner(host, db, config).run()
@@ -299,48 +333,143 @@ def _campaign_digest(*, scalar_fallback):
     return hashlib.sha256(blob).hexdigest(), report
 
 
+def _journal_digest(scenario):
+    events = scenario.journal.events()
+    blob = json.dumps(events, sort_keys=True, default=str).encode()
+    return len(events), hashlib.sha256(blob).hexdigest()
+
+
+def _seeded_traceroute(traceroute):
+    """``traceroute(scmp, path)`` on the seed-7 world, rounded to 1 ns."""
+    host = ScionHost.scionlab(seed=7)
+    path = host.paths("16-ffaa:0:1002", max_paths=1)[0]
+    hops = traceroute(host.scmp, path)
+    got = [
+        (
+            h.index,
+            str(h.isd_as),
+            h.interface,
+            [None if r is None else round(r, 6) for r in h.rtts_ms],
+        )
+        for h in hops
+    ]
+    return got, host.clock.now_s
+
+
 class TestScalarFallbackGolden:
     def test_scalar_fallback_reproduces_pre_batch_campaign(self):
-        """``scalar_fallback=True`` is byte-identical to the old engine."""
-        digest, report = _campaign_digest(scalar_fallback=True)
+        """The reference walker, patched in for ``echo_series``, is
+        byte-identical to the pre-batch engine."""
+        with mock.patch.object(
+            ScmpService, "echo_series", reference_walker.echo_series
+        ):
+            digest, report = _campaign_digest()
         assert report.stats_stored == 80
         assert digest == PRE_BATCH_CAMPAIGN_SHA256
 
     def test_batch_campaign_is_deterministic_but_differs_from_scalar(self):
-        """Batch mode re-chunks the RNG streams: deterministic per seed,
-        different draws from the scalar walker."""
-        digest_a, report = _campaign_digest(scalar_fallback=False)
-        digest_b, _ = _campaign_digest(scalar_fallback=False)
-        assert digest_a == digest_b
+        """The batch engine re-chunks the RNG streams: deterministic per
+        seed, pinned, and different draws from the reference walker."""
+        digest_a, report = _campaign_digest()
+        digest_b, _ = _campaign_digest()
+        assert digest_a == digest_b == BATCH_CAMPAIGN_SHA256
         assert digest_a != PRE_BATCH_CAMPAIGN_SHA256
         assert report.stats_stored == 80
         # The whole campaign rode the fast path: one batch series per
-        # ping, zero scalar fallback series.
+        # ping, and nothing walked packet by packet.
         assert m.counter_value(report.metrics, m.NET_BATCH_SERIES) == 80
-        assert m.counter_value(report.metrics, m.NET_SCALAR_FALLBACKS) == 0
+        assert m.counter_value(report.metrics, m.NET_SCALAR_PROBES) == 0
+
+
+class TestMonitorJournalGolden:
+    def test_outage_journal_pinned(self):
+        assert _journal_digest(run_outage_scenario(rounds=8)) == (
+            OUTAGE_JOURNAL_SHA256
+        )
+
+    def test_outage_journal_with_200_extra_flows_pinned(self):
+        assert _journal_digest(
+            run_outage_scenario(rounds=8, extra_flows=200)
+        ) == OUTAGE_200_FLOWS_JOURNAL_SHA256
 
 
 class TestTracerouteGolden:
     def test_seeded_traceroute_pins_partial_probe_streams(self):
-        """``probe_partial`` keeps its interleaved scalar stream order.
+        """The reference walker keeps the pre-batch traceroute: its
+        prefix probes interleave the shared per-link streams."""
+        got, _ = _seeded_traceroute(reference_walker.traceroute)
+        assert got == TRACEROUTE_GOLDEN
 
-        Routing traceroute through the batch engine would re-chunk the
-        per-link streams shared between depths and silently change every
-        hop series; this golden (captured pre-PR) pins the contract.
-        """
+    def test_batch_traceroute_golden(self):
+        got, _ = _seeded_traceroute(ScmpService.traceroute)
+        assert got == BATCH_TRACEROUTE_GOLDEN
+
+    def test_clock_matches_reference(self):
+        """Both engines step the clock once per probe, bit for bit."""
+        _, batch_clock = _seeded_traceroute(ScmpService.traceroute)
+        _, reference_clock = _seeded_traceroute(reference_walker.traceroute)
+        assert batch_clock == reference_clock
+
+
+class TestEchoSeriesDownServer:
+    def test_clock_steps_once_per_probe_like_reference(self):
+        """A DOWN server answers nothing, and the clock takes one step
+        per unanswered probe, bit for bit where the reference leaves it
+        (30 steps of 0.1 s do not sum to exactly 3.0)."""
+        clocks = []
+        for echo_series in (ScmpService.echo_series, reference_walker.echo_series):
+            host = ScionHost.scionlab(seed=7)
+            path = host.paths("16-ffaa:0:1002", max_paths=1)[0]
+            host.network.servers.set_health(path.dst, "10.2.0.2", ServerHealth.DOWN)
+            stats = echo_series(host.scmp, path, "10.2.0.2", count=30)
+            assert (stats.sent, stats.received, stats.rtts_ms) == (30, 0, ())
+            clocks.append(host.clock.now_s)
+        assert clocks[0] == clocks[1] != 3.0
+
+
+class TestTracerouteLoss:
+    def test_hops_behind_a_blackout_read_none(self):
+        """Lost probes (NaN lanes) come back as ``None``, per hop."""
         host = ScionHost.scionlab(seed=7)
         path = host.paths("16-ffaa:0:1002", max_paths=1)[0]
+        third_link = path.traversals(host.topology)[2].link
+        host.network.add_episode(
+            CongestionEpisode.on_links([third_link], 0.0, 1e6, loss=1.0)
+        )
         hops = host.scmp.traceroute(path)
-        got = [
-            (
-                h.index,
-                str(h.isd_as),
-                h.interface,
-                [None if r is None else round(r, 6) for r in h.rtts_ms],
-            )
-            for h in hops
+        assert all(r is not None for h in hops[:2] for r in h.rtts_ms)
+        assert all(r is None for h in hops[2:] for r in h.rtts_ms)
+
+
+class TestTracerouteValidation:
+    """Bad arguments fail before the clock moves or a link draws noise."""
+
+    @staticmethod
+    def _state(host, path):
+        noise = [
+            host.network.link_state(step.link)._noise.bit_generator.state
+            for step in path.traversals(host.topology)
         ]
-        assert got == TRACEROUTE_GOLDEN
+        return host.clock.now_s, noise
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"probes_per_hop": 0}, {"interval_s": -0.05}]
+    )
+    def test_rejected_before_any_draw(self, kwargs):
+        host = ScionHost.scionlab(seed=7)
+        path = host.paths("16-ffaa:0:1002", max_paths=1)[0]
+        before = self._state(host, path)
+        with pytest.raises(ValidationError):
+            host.scmp.traceroute(path, **kwargs)
+        assert self._state(host, path) == before
+
+    def test_zero_interval_allowed(self):
+        host = ScionHost.scionlab(seed=7)
+        path = host.paths("16-ffaa:0:1002", max_paths=1)[0]
+        before = host.clock.now_s
+        hops = host.scmp.traceroute(path, probes_per_hop=2, interval_s=0.0)
+        assert [len(h.rtts_ms) for h in hops] == [2] * len(hops)
+        assert host.clock.now_s == before
 
 
 # -- flow ledger ---------------------------------------------------------------
@@ -483,7 +612,7 @@ class TestNetMetrics:
         assert set(m._NET_STAT_NAMES) == slots
 
     def test_campaign_report_carries_data_plane_counters(self):
-        digest, report = _campaign_digest(scalar_fallback=False)
+        digest, report = _campaign_digest()
         assert m.counter_value(report.metrics, m.NET_BATCH_PACKETS) == 80 * 30
         # Every bwtest window lands at a fresh clock time in a serial
         # campaign, so the sampler cache records misses (hits come from
@@ -492,12 +621,6 @@ class TestNetMetrics:
         text = m.format_metrics(report.metrics)
         assert "data plane:" in text
         assert "batch series" in text
-
-    def test_scalar_campaign_counts_fallback_series(self):
-        digest, report = _campaign_digest(scalar_fallback=True)
-        assert m.counter_value(report.metrics, m.NET_SCALAR_FALLBACKS) == 80
-        assert m.counter_value(report.metrics, m.NET_BATCH_SERIES) == 0
-        assert m.counter_value(report.metrics, m.NET_SCALAR_PROBES) == 80 * 30
 
 
 # -- vectorized utilization reads ---------------------------------------------

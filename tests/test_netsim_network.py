@@ -1,5 +1,6 @@
 """Tests for link dynamics, congestion and the network facade."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError, ValidationError
@@ -108,18 +109,19 @@ class TestLinkState:
     def test_transit_packet_delay_positive(self, net):
         link = net.topology.link_between("1-ffaa:0:1", "2-ffaa:0:1")[0]
         state = net.link_state(link)
-        sample = state.transit_packet(LinkDirection.A_TO_B, 1000, 1, 0.0)
-        assert sample.delay_ms > state.propagation_ms
+        delay_ms, _ = state.transit_batch(
+            LinkDirection.A_TO_B, 1000, 1, np.zeros(1)
+        )
+        assert delay_ms[0] > state.propagation_ms
 
     def test_blackout_episode_drops_everything(self, net):
         link = net.topology.link_between("1-ffaa:0:1", "2-ffaa:0:1")[0]
         net.add_episode(CongestionEpisode.on_links([link], 0.0, 100.0, loss=1.0))
         state = net.link_state(link)
-        drops = [
-            state.transit_packet(LinkDirection.A_TO_B, 100, 1, 1.0).dropped
-            for _ in range(20)
-        ]
-        assert all(drops)
+        _, dropped = state.transit_batch(
+            LinkDirection.A_TO_B, 100, 1, np.full(20, 1.0)
+        )
+        assert dropped.all()
 
     def test_fluid_share_clips_offered_load(self, net):
         link = net.topology.link_between("1-ffaa:0:3", "1-ffaa:1:1")[0]
@@ -142,44 +144,60 @@ class TestLinkState:
         assert pps_ratio == pytest.approx(0.1)
 
 
+def _oneway_ms(net, steps, packet, t_s):
+    """Forward delay of one packet sent at ``t_s``, link by link."""
+    total_ms = 0.0
+    for step in steps:
+        state = net.link_state(step.link)
+        delay_ms, _ = state.transit_batch(
+            state.direction_from(step.sender),
+            packet.total_wire_bytes,
+            packet.fragments,
+            np.array([t_s + total_ms / 1e3]),
+        )
+        total_ms += float(delay_ms[0])
+    return total_ms
+
+
+def _rtt_ms(net, steps, packet, t_s):
+    """RTT of one echo sent at ``t_s`` (NaN when lost)."""
+    return float(net.probe_batch(steps, packet, np.array([t_s])).rtt_ms[0])
+
+
 class TestNetworkSim:
     def test_oneway_transit_accumulates_delay(self, net):
         steps = _path_user_to_leaf(net.topology)
         packet = PacketSpec(payload_bytes=64, n_hops=5)
-        sample = net.oneway_transit(steps, packet, 0.0)
-        assert sample.delay_ms > 10.0  # Amsterdam->Zurich->Frankfurt->Dublin
+        # Amsterdam->Zurich->Frankfurt->Dublin
+        assert _oneway_ms(net, steps, packet, 0.0) > 10.0
 
     def test_empty_path_rejected(self, net):
         with pytest.raises(ValidationError):
-            net.oneway_transit([], PacketSpec(payload_bytes=64, n_hops=1))
+            net.probe_batch(
+                [], PacketSpec(payload_bytes=64, n_hops=1), np.zeros(1)
+            )
 
     def test_roundtrip_roughly_double_oneway(self, net):
         steps = _path_user_to_leaf(net.topology)
         packet = PacketSpec(payload_bytes=64, n_hops=5)
-        one = net.oneway_transit(steps, packet, 0.0).delay_ms
-        rtt = net.probe_roundtrip(steps, packet, 0.0).rtt_ms
+        one = _oneway_ms(net, steps, packet, 0.0)
+        rtt = _rtt_ms(net, steps, packet, 0.0)
+        assert one < rtt
         assert rtt == pytest.approx(2 * one, rel=0.5)
 
     def test_probe_partial_shorter_than_full(self, net):
+        """A probe to the first router beats one to the destination."""
         steps = _path_user_to_leaf(net.topology)
         packet = PacketSpec(payload_bytes=64, n_hops=5)
-        partial = net.probe_partial(steps, 1, packet, 0.0).rtt_ms
-        full = net.probe_roundtrip(steps, packet, 0.0).rtt_ms
+        partial = _rtt_ms(net, steps[:1], packet, 0.0)
+        full = _rtt_ms(net, steps, packet, 0.0)
         assert partial < full
-
-    def test_probe_partial_bounds(self, net):
-        steps = _path_user_to_leaf(net.topology)
-        packet = PacketSpec(payload_bytes=64, n_hops=5)
-        with pytest.raises(ValidationError):
-            net.probe_partial(steps, 0, packet)
-        with pytest.raises(ValidationError):
-            net.probe_partial(steps, len(steps) + 1, packet)
 
     def test_probe_lost_during_blackout(self, net):
         steps = _path_user_to_leaf(net.topology)
         net.add_episode(CongestionEpisode.on_ases(["2-ffaa:0:1"], 0.0, 100.0))
         packet = PacketSpec(payload_bytes=64, n_hops=5)
-        assert net.probe_roundtrip(steps, packet, 1.0).lost
+        assert np.isnan(_rtt_ms(net, steps, packet, 1.0))
 
     def test_unknown_link_rejected(self, net):
         from repro.topology.entities import LinkKind, LinkSpec
@@ -236,7 +254,7 @@ class TestNetworkSim:
             net = NetworkSim(topo, NetworkConfig(seed=99))
             steps = _path_user_to_leaf(topo)
             packet = PacketSpec(payload_bytes=64, n_hops=5)
-            rtt = net.probe_roundtrip(steps, packet, 0.0).rtt_ms
+            rtt = _rtt_ms(net, steps, packet, 0.0)
             bw = net.fluid_transfer(steps, 5e6, packet, 3.0).achieved_bps
             results.append((rtt, bw))
         assert results[0] == results[1]
