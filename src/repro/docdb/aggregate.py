@@ -2,11 +2,12 @@
 
 Stages: ``$match``, ``$project``, ``$group``, ``$sort``, ``$limit``,
 ``$skip``, ``$unwind``, ``$count``, ``$addFields``, ``$lookup`` (left
-outer equality join).  Group accumulators: ``$sum``,
-``$avg``, ``$min``, ``$max``, ``$push``, ``$addToSet``, ``$first``,
-``$last``.  Expressions are field references (``"$field.path"``) or
-constants — enough for the analysis queries of the reproduction
-(e.g. average latency per ISD set, Fig 6).
+outer equality join).  Group accumulators: ``$sum``, ``$avg``,
+``$min``, ``$max``, ``$stdDevPop``, ``$push``, ``$addToSet``,
+``$first``, ``$last``.  Expressions are field references
+(``"$field.path"``) or constants — enough for the analysis queries of
+the reproduction (e.g. average latency per ISD set, Fig 6) and the
+selection engine's per-path summaries.
 """
 
 from __future__ import annotations
@@ -15,12 +16,17 @@ import copy
 from numbers import Number
 from typing import Any, Dict, List, Tuple
 
+import numpy as np
+
 from repro.docdb.document import get_path
 from repro.docdb.query import matches
 from repro.errors import QueryError
 
 _ACCUMULATORS = frozenset(
-    {"$sum", "$avg", "$min", "$max", "$push", "$addToSet", "$first", "$last"}
+    {
+        "$sum", "$avg", "$min", "$max", "$stdDevPop",
+        "$push", "$addToSet", "$first", "$last",
+    }
 )
 
 #: Stages the pipeline executor implements (kept in sync with
@@ -57,7 +63,13 @@ def split_leading_match(
 def run_pipeline(
     docs: List[Dict[str, Any]], pipeline: List[Dict[str, Any]]
 ) -> List[Dict[str, Any]]:
-    """Run ``pipeline`` over ``docs`` and return the resulting documents."""
+    """Run ``pipeline`` over ``docs`` and return the resulting documents.
+
+    No stage modifies its input documents (stages that rewrite a
+    document work on a copy), so ``docs`` may be the stored documents
+    themselves.  The output may share values with them; callers that
+    hand it out copy it.
+    """
     current = docs
     for stage in pipeline:
         if not isinstance(stage, dict) or len(stage) != 1:
@@ -170,6 +182,8 @@ def _accumulate(acc: str, expr: Any, members: List[Dict[str, Any]]) -> Any:
         return min(numeric) if numeric else None
     if acc == "$max":
         return max(numeric) if numeric else None
+    if acc == "$stdDevPop":
+        return float(np.std(numeric)) if numeric else None
     raise QueryError(f"unhandled accumulator: {acc}")  # pragma: no cover
 
 

@@ -593,16 +593,19 @@ class Collection:
     def aggregate(self, pipeline: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         """Run an aggregation pipeline.
 
-        A leading ``$match`` stage is pushed down into :meth:`find` so
+        A leading ``$match`` stage goes straight to the query planner so
         it can use an index instead of scanning the collection — this is
         what keeps the best-path selection query (``$match`` on
-        ``server_id`` over ``paths_stats``) off the full-scan path.
-        Results are cached like ``find`` (pipelines containing live
-        objects, e.g. a ``$lookup`` ``from`` collection, are exempt).
+        ``server_id`` over ``paths_stats``) off the full-scan path.  The
+        remaining stages run over the matched stored documents without
+        copying them; only the pipeline's output is copied.  Results are
+        cached like ``find`` (pipelines containing live objects, e.g. a
+        ``$lookup`` ``from`` collection, are exempt).
         """
         from repro.docdb.aggregate import run_pipeline, split_leading_match
 
         cache_key = freeze(("aggregate", pipeline))
+        match, rest = split_leading_match(pipeline)
         with self._lock:
             epoch = self._epoch
             if cache_key is not None:
@@ -611,9 +614,12 @@ class Collection:
                     self.stats["cache_hits"] += 1
                     return json_deepcopy(cached)
                 self.stats["cache_misses"] += 1
-        match, rest = split_leading_match(pipeline)
-        docs = self.find(match)
-        out = run_pipeline(docs, rest)
+            # Writes swap in new document dicts (``apply_update`` returns
+            # a copy), so the matched list stays a consistent snapshot
+            # after the lock is released — and a ``$lookup`` into another
+            # collection never runs under this collection's lock.
+            matched = self._execute_filter(match)
+        out = json_deepcopy(run_pipeline(matched, rest))
         if cache_key is not None:
             with self._lock:
                 self.cache.put(cache_key, epoch, out)

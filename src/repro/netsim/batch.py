@@ -109,6 +109,8 @@ def probe_batch(
     send_times = np.asarray(send_times_s, dtype=np.float64)
     if send_times.size < 1:
         raise ValidationError("echo probes need at least one send time")
+    if not np.isfinite(send_times).all():
+        raise ValidationError("echo send times must be finite")
 
     flat_times = send_times.reshape(-1)
     delay_ms = np.zeros(flat_times.size, dtype=np.float64)

@@ -10,6 +10,7 @@ SCION layer resolves a forwarding path into a list of
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -257,6 +258,8 @@ class NetworkSim:
             raise ValidationError("transfer needs positive rate and duration")
         if not traversals:
             raise ValidationError("empty path")
+        if t_s is not None and not 0.0 <= t_s < math.inf:
+            raise ValidationError(f"transfer start must be finite and >= 0: {t_s}")
         t0 = self.clock.now_s if t_s is None else t_s
         t1 = t0 + duration_s
         # Time-based ledger hygiene: flows whose window closed before this

@@ -8,11 +8,8 @@ placement of devices traversed, and operators that run them".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.docdb.database import Database
 from repro.errors import NoPathError
@@ -25,7 +22,6 @@ from repro.selection.policies import (
 from repro.selection.request import Metric, UserRequest
 from repro.suite.config import PATHS_COLLECTION, STATS_COLLECTION
 from repro.topology.graph import Topology
-from repro.topology.isd_as import ISDAS
 
 
 @dataclass(frozen=True)
@@ -76,6 +72,17 @@ class PathSelector:
         timestamp — what a *live* controller uses so stale measurements
         do not dilute fresh congestion signals.
         """
+        return [agg for agg, _ in self._candidates(server_id, since_ms)]
+
+    def _candidates(
+        self, server_id: int, since_ms: Optional[int]
+    ) -> List[Tuple[PathAggregate, Dict[str, Any]]]:
+        """``(summary, stored path document)`` per measured path.
+
+        One grouped ``paths_stats`` aggregation plus one ``paths`` read;
+        the path document travels with its summary so ranking needs no
+        further lookup.
+        """
         match: Dict[str, object] = {"server_id": server_id}
         if since_ms is not None:
             match["timestamp_ms"] = {"$gte": since_ms}
@@ -87,7 +94,7 @@ class PathSelector:
                         "_id": "$path_id",
                         "samples": {"$sum": 1},
                         "avg_latency": {"$avg": "$avg_latency_ms"},
-                        "latencies": {"$push": "$avg_latency_ms"},
+                        "latency_stddev": {"$stdDevPop": "$avg_latency_ms"},
                         "avg_loss": {"$avg": "$loss_pct"},
                         "avg_bw_down": {"$avg": "$bw_down_mtu_mbps"},
                         "avg_bw_up": {"$avg": "$bw_up_mtu_mbps"},
@@ -96,32 +103,27 @@ class PathSelector:
             ]
         )
         by_path = {g["_id"]: g for g in grouped}
-        out: List[PathAggregate] = []
+        out: List[Tuple[PathAggregate, Dict[str, Any]]] = []
         for path_doc in self.db[PATHS_COLLECTION].find(
             {"server_id": server_id}, sort=[("path_index", 1)]
         ):
             g = by_path.get(path_doc["_id"])
             if g is None:
                 continue
-            latencies = [l for l in g["latencies"] if l is not None]
-            stddev = float(np.std(latencies)) if len(latencies) >= 2 else (
-                0.0 if latencies else None
+            agg = PathAggregate(
+                path_id=str(path_doc["_id"]),
+                server_id=server_id,
+                hop_count=int(path_doc["hop_count"]),
+                isds=list(path_doc["isds"]),
+                ases=list(path_doc["ases"]),
+                samples=int(g["samples"]),
+                avg_latency_ms=g["avg_latency"],
+                latency_stddev_ms=g["latency_stddev"],
+                avg_loss_pct=float(g["avg_loss"] or 0.0),
+                avg_bw_down_mbps=g["avg_bw_down"],
+                avg_bw_up_mbps=g["avg_bw_up"],
             )
-            out.append(
-                PathAggregate(
-                    path_id=str(path_doc["_id"]),
-                    server_id=server_id,
-                    hop_count=int(path_doc["hop_count"]),
-                    isds=list(path_doc["isds"]),
-                    ases=list(path_doc["ases"]),
-                    samples=int(g["samples"]),
-                    avg_latency_ms=g["avg_latency"],
-                    latency_stddev_ms=stddev,
-                    avg_loss_pct=float(g["avg_loss"] or 0.0),
-                    avg_bw_down_mbps=g["avg_bw_down"],
-                    avg_bw_up_mbps=g["avg_bw_up"],
-                )
-            )
+            out.append((agg, path_doc))
         return out
 
     # -- filtering ------------------------------------------------------------------
@@ -176,20 +178,20 @@ class PathSelector:
         since_ms: Optional[int] = None,
     ) -> SelectionResult:
         """Pick the best admissible path for ``request``."""
-        candidates = self.aggregates(request.server_id, since_ms=since_ms)
+        candidates = self._candidates(request.server_id, since_ms)
         if not candidates:
             raise NoPathError(
                 f"no measured paths for destination {request.server_id} "
                 "(run the test-suite first)"
             )
-        admissible: List[PathAggregate] = []
+        admissible: List[Tuple[PathAggregate, Dict[str, Any]]] = []
         excluded: Dict[str, List[str]] = {}
-        for agg in candidates:
+        for agg, path_doc in candidates:
             reasons = self._violations(agg, request)
             if reasons:
                 excluded[agg.path_id] = reasons
             else:
-                admissible.append(agg)
+                admissible.append((agg, path_doc))
 
         result = SelectionResult(request=request, best=None, excluded=excluded)
         if not admissible:
@@ -197,18 +199,20 @@ class PathSelector:
 
         policy = policy_for(request.metric, request.weights)
         if isinstance(policy, CompositePolicy):
-            policy.fit(admissible)
+            policy.fit([agg for agg, _ in admissible])
 
         ranked = sorted(
-            (self._rank(agg, policy) for agg in admissible),
+            (self._rank(agg, path_doc, policy) for agg, path_doc in admissible),
             key=lambda r: (r.score, r.aggregate.path_id),
         )
         result.best = ranked[0]
         result.alternatives = ranked[1 : 1 + max(0, top_k - 1)]
         return result
 
-    def _rank(self, agg: PathAggregate, policy: Policy) -> RankedPath:
-        path_doc = self.db[PATHS_COLLECTION].find_one({"_id": agg.path_id}) or {}
+    @staticmethod
+    def _rank(
+        agg: PathAggregate, path_doc: Dict[str, Any], policy: Policy
+    ) -> RankedPath:
         return RankedPath(
             aggregate=agg,
             score=policy.score(agg),

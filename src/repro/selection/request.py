@@ -55,8 +55,19 @@ class UserRequest:
             raise ValidationError(f"invalid server id: {self.server_id}")
         if self.metric is Metric.COMPOSITE and not self.weights:
             raise ValidationError("composite metric requires weights")
-        for ia in self.exclude_ases:
-            ISDAS.parse(ia)  # validates format
+        # Canonical forms, so exclusions compare equal to the AS strings
+        # and upper-case country codes that stored paths and the
+        # topology use (and equal requests share one cache key).
+        object.__setattr__(
+            self,
+            "exclude_ases",
+            frozenset(str(ISDAS.parse(ia)) for ia in self.exclude_ases),
+        )
+        object.__setattr__(
+            self,
+            "exclude_countries",
+            frozenset(c.upper() for c in self.exclude_countries),
+        )
 
     @classmethod
     def make(
@@ -79,9 +90,9 @@ class UserRequest:
             server_id=server_id,
             metric=Metric(metric) if isinstance(metric, str) else metric,
             weights=dict(weights or {}),
-            exclude_countries=frozenset(c.upper() for c in exclude_countries),
+            exclude_countries=frozenset(exclude_countries),
             exclude_operators=frozenset(exclude_operators),
-            exclude_ases=frozenset(str(a) for a in exclude_ases),
+            exclude_ases=frozenset(exclude_ases),
             exclude_isds=frozenset(int(i) for i in exclude_isds),
             exclude_paths=frozenset(str(p) for p in exclude_paths),
             max_latency_ms=max_latency_ms,

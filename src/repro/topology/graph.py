@@ -39,6 +39,11 @@ class Topology:
             if asys.isd_as in self._ases:
                 raise TopologyError(f"duplicate AS {asys.isd_as}")
             self._ases[asys.isd_as] = asys
+        #: Canonical-string index for :meth:`as_of`: stored documents
+        #: name ASes as ``str(ISDAS)``, and the AS set is fixed here.
+        self._ases_by_str: Dict[str, AutonomousSystem] = {
+            str(ia): asys for ia, asys in self._ases.items()
+        }
 
         self._links: List[LinkSpec] = []
         self._by_interface: Dict[Tuple[ISDAS, int], LinkSpec] = {}
@@ -122,6 +127,10 @@ class Topology:
         return self._epoch
 
     def as_of(self, ia: "ISDAS | str") -> AutonomousSystem:
+        if isinstance(ia, str):
+            asys = self._ases_by_str.get(ia)
+            if asys is not None:
+                return asys
         ia = ISDAS.parse(ia)
         try:
             return self._ases[ia]

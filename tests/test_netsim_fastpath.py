@@ -472,6 +472,51 @@ class TestTracerouteValidation:
         assert host.clock.now_s == before
 
 
+class TestBadTimesRejected:
+    """Non-finite or negative times fail with ``ValidationError`` before
+    the clock moves, the ledger is pruned or any link draws noise."""
+
+    @staticmethod
+    def _state(net, steps):
+        noise = [net.link_state(step.link)._noise.bit_generator.state for step in steps]
+        transfer_noise = net._streams.get("bwtest:noise").bit_generator.state
+        return net.clock.now_s, noise, transfer_noise, len(net.flows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_probe_batch_rejects_non_finite_send_times(self, bad):
+        net = _fresh_net(7)
+        steps = _path_user_to_leaf(net.topology)
+        net.clock.advance(5.0)
+        before = self._state(net, steps)
+        times = _times(10, t0=5.0)
+        times[3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            probe_batch(net, steps, _packet(), times)
+        with pytest.raises(ValidationError, match="finite"):
+            net.probe_batch(steps, _packet(), times.reshape(2, 5))
+        assert self._state(net, steps) == before
+
+    @pytest.mark.parametrize("t_s", [-10.0, -1e-9, np.nan, np.inf, -np.inf])
+    def test_fluid_transfer_rejects_bad_start(self, t_s):
+        net = _fresh_net(7)
+        steps = _path_user_to_leaf(net.topology)
+        packet = PacketSpec(payload_bytes=1400, n_hops=5, n_segments=2)
+        net.fluid_transfer(steps, 5e6, packet, duration_s=3.0, register_flow=True)
+        before = self._state(net, steps)
+        with pytest.raises(ValidationError, match="transfer start"):
+            net.fluid_transfer(
+                steps, 5e6, packet, duration_s=3.0, t_s=t_s, register_flow=True
+            )
+        assert self._state(net, steps) == before
+
+    def test_fluid_transfer_start_at_zero_allowed(self):
+        net = _fresh_net(7)
+        steps = _path_user_to_leaf(net.topology)
+        packet = PacketSpec(payload_bytes=1400, n_hops=5, n_segments=2)
+        result = net.fluid_transfer(steps, 5e6, packet, duration_s=3.0, t_s=0.0)
+        assert 0.0 < result.achieved_bps <= 5e6
+
+
 # -- flow ledger ---------------------------------------------------------------
 
 

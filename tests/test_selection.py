@@ -61,6 +61,15 @@ class TestUserRequest:
         with pytest.raises(ValidationError):
             UserRequest.make(1, exclude_ases=["garbage"])
 
+    def test_exclusions_canonicalised_by_the_constructor(self):
+        req = UserRequest(
+            1,
+            exclude_countries=frozenset({"us"}),
+            exclude_ases=frozenset({"19-FFAA:0:1303", " 17-ffaa:00:1101"}),
+        )
+        assert req.exclude_countries == frozenset({"US"})
+        assert req.exclude_ases == frozenset({"19-ffaa:0:1303", "17-ffaa:0:1101"})
+
 
 class TestPolicies:
     def test_latency_lower_is_better(self):
@@ -185,6 +194,32 @@ class TestSelectorOnCampaign:
         assert all(
             "16-ffaa:0:1004" not in r.aggregate.ases for r in result.ranked
         )
+
+    @pytest.mark.parametrize(
+        "spelling", ["16-FFAA:0:1004", " 16-ffaa:0:1004", "16-ffaa:00:1004"]
+    )
+    def test_as_exclusion_matches_any_spelling(self, selector, spelling):
+        canonical = selector.select(
+            UserRequest.make(1, exclude_ases=["16-ffaa:0:1004"])
+        )
+        result = selector.select(UserRequest.make(1, exclude_ases=[spelling]))
+        assert result.request.exclude_ases == frozenset({"16-ffaa:0:1004"})
+        assert result.excluded == canonical.excluded
+        assert any(
+            "traverses excluded AS 16-ffaa:0:1004" in r
+            for reasons in result.excluded.values()
+            for r in reasons
+        )
+        assert all(
+            "16-ffaa:0:1004" not in r.aggregate.ases for r in result.ranked
+        )
+
+    def test_country_exclusion_built_without_make(self, selector):
+        result = selector.select(
+            UserRequest(1, exclude_countries=frozenset({"us", "Sg"}))
+        )
+        assert result.request.exclude_countries == frozenset({"US", "SG"})
+        assert len(result.excluded) == 8
 
     def test_isd_exclusion_unsatisfiable(self, selector):
         result = selector.select(UserRequest.make(1, exclude_isds=[16]))

@@ -189,6 +189,16 @@ class TestTopologyQueries:
         with pytest.raises(UnknownASError):
             topo.as_of("9-0:0:9")
 
+    @pytest.mark.parametrize(
+        "spelling", ["1-ffaa:0:1", "1-FFAA:0:1", " 1-ffaa:0:1", "1-ffaa:00:0001"]
+    )
+    def test_as_of_any_spelling_is_the_same_as(self, topo, spelling):
+        assert topo.as_of(spelling) is topo.as_of(ISDAS.parse("1-ffaa:0:1"))
+
+    def test_as_of_malformed_string_still_parses(self, topo):
+        with pytest.raises(ValidationError):
+            topo.as_of("not-an-as")
+
     def test_contains(self, topo):
         assert "1-ffaa:0:1" in topo
         assert "9-0:0:9" not in topo

@@ -159,6 +159,54 @@ class TestTracerAndVerifier:
         assert any("excluded country" in m for m in report.mismatches)
 
 
+class TestCanonicalExclusions:
+    """Exclusions match stored AS strings and countries however spelled."""
+
+    def _violated_by(self, world, name, request, hop):
+        from dataclasses import replace
+
+        selector = PathSelector(world.db, world.host.topology)
+        controller = PathController(world.host, selector)
+        tracer = PathTracer(world.host, world.db)
+        verifier = PathVerifier(world.host.topology, upin_isds=[17, 19])
+        rule = controller.apply_intent(name, request)
+        trace = tracer.trace_flow(rule)
+        forged = replace(trace, observed_hops=trace.observed_hops[:-1] + (hop,))
+        return verifier.verify(rule, forged)
+
+    @pytest.mark.parametrize(
+        "spelling", ["16-FFAA:0:1004", " 16-ffaa:0:1004", "16-ffaa:00:1004"]
+    )
+    def test_verifier_flags_excluded_as_in_any_spelling(self, world, spelling):
+        report = self._violated_by(
+            world, "heidi", UserRequest.make(1, exclude_ases=[spelling]),
+            "16-ffaa:0:1004",
+        )
+        assert report.verdict is Verdict.VIOLATED
+        assert "observed hop 16-ffaa:0:1004 is an excluded AS" in report.mismatches
+
+    def test_verifier_flags_lower_case_country(self, world):
+        report = self._violated_by(
+            world, "ivan", UserRequest(1, exclude_countries=frozenset({"us"})),
+            "16-ffaa:0:1004",
+        )
+        assert report.verdict is Verdict.VIOLATED
+        assert any("excluded country" in m for m in report.mismatches)
+
+    def test_cache_key_equal_across_spellings(self):
+        from repro.upin.controller import request_cache_key
+
+        assert request_cache_key(
+            UserRequest.make(1, exclude_ases=["19-FFAA:0:1303"])
+        ) == request_cache_key(UserRequest.make(1, exclude_ases=["19-ffaa:0:1303"]))
+        assert request_cache_key(
+            UserRequest.make(1, exclude_ases=["19-ffaa:00:1303"])
+        ) == request_cache_key(UserRequest.make(1, exclude_ases=["19-ffaa:0:1303"]))
+        assert request_cache_key(
+            UserRequest(1, exclude_countries=frozenset({"us"}))
+        ) == request_cache_key(UserRequest.make(1, exclude_countries=["US"]))
+
+
 class TestVerifierAfterFailover:
     """Old-path traces must not fail verification of the new flow."""
 
