@@ -1,4 +1,4 @@
-"""Bench of the §6 study campaign: 5 destinations, sequential vs parallel.
+"""Bench of the §6 study campaign: 5 destinations, serial vs per-destination.
 
 The paper gathered ~3000 samples over 5 destinations; this bench runs a
 scaled-down version of the same campaign and checks its bookkeeping.
@@ -58,7 +58,7 @@ def test_study_campaign_parallel(benchmark):
             base_config=scionlab_network_config(seed=BENCH_SEED),
             seed=BENCH_SEED,
         )
-        return campaign.run(iterations=1, max_workers=5)
+        return campaign.run(iterations=1)
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report.stats_stored == 80

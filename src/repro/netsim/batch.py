@@ -28,7 +28,8 @@ on that path.  Noise is drawn over the probes in row-major order.
 
 Determinism contract (property-tested in
 ``tests/test_netsim_fastpath.py``): same seed and same calls ⇒
-byte-identical series across runs and across 1-vs-8 parallel workers.
+byte-identical series across runs, and a destination measured alone
+matches the same destination inside a full per-destination campaign.
 A per-packet reference walker in ``tests/reference_walker.py`` draws
 the same streams one packet at a time; the two agree statistically
 (matched mean RTT and loss fraction on ≥1k-sample series), not

@@ -100,29 +100,20 @@ class CongestionEpisode:
 class EpisodeSchedule:
     """The set of episodes a :class:`NetworkSim` consults per transit.
 
-    The schedule carries a monotonically increasing ``epoch`` that bumps
-    on every mutation (``add``/``clear``).  Per-link sampling caches key
-    their memoized window integrals on it, so a congestion episode added
-    mid-run — including the monitor blackholing a link after a
-    revocation — invalidates every stale cached answer immediately.
+    Nothing derived from the schedule is memoized: every packet transit
+    and every fluid-transfer window reads the live episode list, so an
+    episode added mid-run — including the monitor blackholing a link
+    after a revocation — shows up in the very next measurement.
     """
 
     def __init__(self, episodes: Iterable[CongestionEpisode] = ()) -> None:
         self._episodes = list(episodes)
-        self._epoch = 0
-
-    @property
-    def epoch(self) -> int:
-        """Mutation counter consulted by sampling caches."""
-        return self._epoch
 
     def add(self, episode: CongestionEpisode) -> None:
         self._episodes.append(episode)
-        self._epoch += 1
 
     def clear(self) -> None:
         self._episodes.clear()
-        self._epoch += 1
 
     def __len__(self) -> int:
         return len(self._episodes)

@@ -3,10 +3,11 @@
 One :class:`NetCounters` instance is shared by a :class:`~repro.netsim.
 network.NetworkSim` and every :class:`~repro.netsim.link.LinkState` it
 owns.  The counters are plain ints — the simulator is single-threaded
-per host (parallel campaigns give every destination its own seeded
-host), so no locking is needed — and every one of them is a pure
+per host (per-destination campaigns give every destination its own
+seeded host), so no locking is needed — and every one of them is a pure
 function of ``(world, seed, campaign)``: the determinism suites compare
-snapshots byte-for-byte across worker counts.
+a destination run alone byte-for-byte with the same destination inside
+the full campaign.
 
 The canonical ``net_*`` metric names these map onto live in
 :mod:`repro.suite.metrics` (``_NET_STAT_NAMES``); the table in
@@ -19,7 +20,7 @@ from typing import Dict
 
 
 class NetCounters:
-    """Counters for probes, sampling caches and the flow ledger."""
+    """Counters for probes and the flow ledger."""
 
     __slots__ = (
         "batch_series",
@@ -39,9 +40,10 @@ class NetCounters:
         #: Always 0: every probe goes through the batch engine.  Kept
         #: because ``perfbench/counters.py`` reads it.
         self.scalar_probes = 0
-        #: Per-link sampling-cache hits ((direction, window) integrals).
+        #: Always 0: fluid-transfer windows are computed fresh, with no
+        #: sampling cache.  Both kept because ``perfbench/counters.py``
+        #: reads them.
         self.sampler_hits = 0
-        #: Per-link sampling-cache misses (integral computed fresh).
         self.sampler_misses = 0
         #: Expired flow records dropped from the flow ledger.
         self.ledger_pruned_flows = 0

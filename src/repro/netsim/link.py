@@ -9,7 +9,7 @@ own pps budget (taken from the sending AS's router limits).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -21,13 +21,6 @@ from repro.topology.entities import AutonomousSystem, LinkSpec
 from repro.topology.isd_as import ISDAS
 from repro.util.geo import propagation_delay_ms
 from repro.util.rng import RngStreams
-
-#: Cap on memoized (direction, window) integrals per link: campaigns
-#: revisit a handful of windows (overlapping multi-user transfers, the
-#: ledger's competing-load queries), so a small cache captures the reuse
-#: while keeping worst-case memory bounded on adversarial workloads.
-SAMPLING_CACHE_MAX_ENTRIES = 4096
-
 
 class LinkDirection(enum.Enum):
     """Traffic direction relative to the LinkSpec's (a, b) endpoints."""
@@ -53,12 +46,6 @@ class LinkState:
         self.config = config
         self.episodes = episodes
         self.counters = counters if counters is not None else NetCounters()
-        #: (direction, t0, t1) -> (mean utilization, window episode loss,
-        #: window capacity factor), valid for one episode-schedule epoch.
-        self._window_cache: Dict[
-            Tuple["LinkDirection", float, float], Tuple[float, float, float]
-        ] = {}
-        self._window_cache_epoch = episodes.epoch
         self._a = a_sys
         self._b = b_sys
         self.propagation_ms = propagation_delay_ms(
@@ -173,39 +160,6 @@ class LinkState:
 
     # -- fluid-transfer accounting --------------------------------------------------
 
-    def window_sample(
-        self, direction: LinkDirection, t0_s: float, t1_s: float
-    ) -> Tuple[float, float, float]:
-        """Memoized ``(mean utilization, episode loss, capacity factor)``.
-
-        The sampling cache behind fluid transfers: the window integrals
-        (:meth:`mean_utilization` + :meth:`EpisodeSchedule.
-        window_disturbance`) are pure given the episode schedule, so
-        results are keyed on ``(direction, t0, t1)`` and invalidated
-        wholesale whenever :attr:`EpisodeSchedule.epoch` moves — i.e.
-        when an episode is added or the monitor blackholes a link after
-        a revocation.  Failover correctness is therefore untouched: no
-        pre-episode answer survives the bump.
-        """
-        if self._window_cache_epoch != self.episodes.epoch:
-            self._window_cache.clear()
-            self._window_cache_epoch = self.episodes.epoch
-        key = (direction, t0_s, t1_s)
-        cached = self._window_cache.get(key)
-        if cached is not None:
-            self.counters.sampler_hits += 1
-            return cached
-        self.counters.sampler_misses += 1
-        rho = self.mean_utilization(direction, t0_s, t1_s)
-        ep_loss, cap_factor = self.episodes.window_disturbance(
-            self.spec, t0_s, t1_s
-        )
-        if len(self._window_cache) >= SAMPLING_CACHE_MAX_ENTRIES:
-            self._window_cache.clear()  # rare; keeps memory bounded
-        result = (rho, ep_loss, cap_factor)
-        self._window_cache[key] = result
-        return result
-
     def fluid_share(
         self,
         direction: LinkDirection,
@@ -224,7 +178,8 @@ class LinkState:
         foreground flows; ``pps_accept_ratio`` compares offered packets/s
         against the *sending* router's pps budget.
         """
-        rho, ep_loss, cap_factor = self.window_sample(direction, t0_s, t1_s)
+        rho = self.mean_utilization(direction, t0_s, t1_s)
+        ep_loss, cap_factor = self.episodes.window_disturbance(self.spec, t0_s, t1_s)
         capacity = self._cap_bps[direction]
         available = max(0.0, capacity * (1.0 - rho) - competing_bps)
         if ep_loss > 0.0:

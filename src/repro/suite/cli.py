@@ -6,15 +6,15 @@ Mirrors the original interface::
     upin-test-suite 10 --some_only     # only the first destination
 
 plus reproduction conveniences: ``--seed`` for determinism,
-``--parallel N`` for the scalability mode, and ``--db-dir`` to persist
-the database as JSONL snapshots.
+``--parallel`` for the per-destination scalability mode, and ``--db-dir``
+to persist the database as JSONL snapshots.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.docdb.client import DocDBClient
 from repro.errors import ReproError
@@ -54,13 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=20231112)
     parser.add_argument(
-        "--parallel", type=int, default=0, metavar="N",
-        help="shard destinations over N worker threads",
+        "--parallel",
+        action="store_true",
+        help="run each destination as its own campaign on its own seeded "
+        "host, isolating a failing destination (§4.1.1/§4.1.2)",
     )
     parser.add_argument(
         "--fail-fast",
         action="store_true",
-        help="abort the parallel campaign on the first worker failure "
+        help="with --parallel, stop at the first failing destination "
         "instead of isolating it (§4.1.2 default: isolate)",
     )
     parser.add_argument(
@@ -97,6 +99,18 @@ def seed_servers(db) -> int:
     for doc in docs:
         coll.replace_one({"_id": doc["_id"]}, doc, upsert=True)
     return len(docs)
+
+
+def print_metrics(metrics: Dict[str, Any], db, client: DocDBClient) -> None:
+    """The ``--metrics`` block: campaign telemetry, then docdb and WAL."""
+    block = format_metrics(metrics, indent="  ")
+    print("metrics:" + ("\n" + block if block else " (none)"))
+    db_block = format_database_stats(database_stats_snapshot(db))
+    if db_block:
+        print(db_block)
+    wal_block = format_wal_stats(wal_stats_snapshot(client))
+    if wal_block:
+        print(wal_block)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -165,14 +179,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"({collection.paths_deleted} stale deleted, "
                 f"{len(collection.failures)} failures)"
             )
-        if args.parallel > 0:
+        if args.parallel:
             campaign = ParallelCampaign(
                 host.topology, MY_AS, db, config,
                 base_config=scionlab_network_config(seed=args.seed), seed=args.seed,
                 signer=signer, signer_subject=signer_subject,
                 fail_fast=args.fail_fast,
             )
-            preport = campaign.run(iterations=args.iterations, max_workers=args.parallel)
+            preport = campaign.run(iterations=args.iterations)
             print(
                 f"parallel campaign: {preport.stats_stored} stats stored, "
                 f"{preport.paths_tested} path tests, "
@@ -187,15 +201,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
                 for sid in sorted(preport.failed_destinations):
                     print(f"  - {sid}: {preport.failed_destinations[sid]}")
-            if args.metrics:
-                block = format_metrics(preport.metrics, indent="  ")
-                print("metrics:" + ("\n" + block if block else " (none)"))
-                db_block = format_database_stats(database_stats_snapshot(db))
-                if db_block:
-                    print(db_block)
-                wal_block = format_wal_stats(wal_stats_snapshot(client))
-                if wal_block:
-                    print(wal_block)
+            metrics = preport.metrics
         else:
             report = TestRunner(
                 host, db, config, signer=signer, signer_subject=signer_subject
@@ -206,15 +212,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{report.stats_lost} lost, {report.measurement_errors} errors, "
                 f"{report.sim_seconds:.1f} simulated seconds"
             )
-            if args.metrics:
-                block = format_metrics(report.metrics, indent="  ")
-                print("metrics:" + ("\n" + block if block else " (none)"))
-                db_block = format_database_stats(database_stats_snapshot(db))
-                if db_block:
-                    print(db_block)
-                wal_block = format_wal_stats(wal_stats_snapshot(client))
-                if wal_block:
-                    print(wal_block)
+            metrics = report.metrics
+        if args.metrics:
+            print_metrics(metrics, db, client)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if client.is_durable:

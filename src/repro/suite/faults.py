@@ -15,16 +15,17 @@ loss*, *server failure* (no answer) and *error messages* (bad answer).
   seeded random crash plans in subprocesses and asserts that recovery
   restores exactly the committed prefix.
 
-Parallel campaigns share one plan across worker threads, which imposes
-two extra obligations:
+One plan is shared by every destination of a per-destination campaign
+and may be shared between threads, which imposes two extra obligations:
 
 * the ``injected_*`` counters are guarded by a lock, and
 * the data-loss RNG must not be a single sequential stream (draw order
-  would then depend on thread scheduling).  :meth:`FaultPlan.scoped`
-  returns a per-destination view whose crash draws come from a stream
-  derived via :func:`~repro.util.rng.derive_seed` over the destination
-  id, so the set of lost batches is a pure function of the seed — the
-  same for 1 worker or 8.
+  would then depend on which destinations ran before).
+  :meth:`FaultPlan.scoped` returns a per-destination view whose crash
+  draws come from a stream derived via
+  :func:`~repro.util.rng.derive_seed` over the destination id, so the
+  set of lost batches is a pure function of the seed — the same for a
+  destination run alone or inside the full campaign.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class DataLossFault:
 class FaultPlan:
     """A schedule of faults the runner consults during a campaign.
 
-    Thread-safe: one plan may be shared by every worker of a
+    Thread-safe; one plan is shared by every destination of a
     :class:`~repro.suite.parallel.ParallelCampaign`.
     """
 
@@ -247,11 +248,11 @@ class FaultPlan:
     # -- per-destination views ------------------------------------------------------
 
     def scoped(self, server_id: int) -> "DestinationFaults":
-        """A view of this plan for one destination worker.
+        """A view of this plan for one destination.
 
         Shares the outage schedule and the (locked) ``injected_*``
         counters, but owns a deterministic per-destination loss stream so
-        parallel draws are scheduling-independent.
+        a destination's draws do not depend on the destinations before it.
         """
         return DestinationFaults(self, server_id)
 

@@ -10,11 +10,10 @@ simulation scale:
   histograms track ``count/total/min/max`` (``backoff_s``,
   ``batch_size``, ``destination_wall_s``, ``destination_sim_s``).
 * ``snapshot()`` renders the registry as a plain, JSON-friendly dict so
-  :class:`~repro.suite.runner.CampaignReport` can carry it across thread
-  boundaries by value.
+  :class:`~repro.suite.runner.CampaignReport` can carry it by value.
 * :func:`merge_snapshots` folds per-destination snapshots into a
   campaign-wide view.  The fold is commutative and associative, so the
-  merged numbers are independent of worker scheduling.
+  merged numbers are independent of the order destinations ran in.
 
 Only the ``*_wall_s`` instruments observe the host's real clock; every
 other metric is a pure function of ``(world, seed, campaign)`` and is
@@ -86,8 +85,8 @@ _WAL_STAT_NAMES = {
 
 # Database/query-planner counters (folded from ``Collection.stats`` by
 # :func:`database_stats_snapshot` — read-time aggregation, deliberately
-# NOT recorded per-destination so worker scheduling cannot perturb the
-# per-runner snapshots the determinism tests compare byte-for-byte).
+# NOT recorded per-destination so other destinations' reads cannot
+# perturb the per-runner snapshots the determinism tests compare byte-for-byte).
 DB_COLLSCANS = "db_collection_scans"
 DB_INDEX_HITS = "db_index_hits"
 DB_DOCS_EXAMINED = "db_docs_examined"
@@ -199,7 +198,7 @@ def histogram_stats(
 
 
 def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold snapshots into one (commutative: scheduling-independent)."""
+    """Fold snapshots into one (commutative: order-independent)."""
     counters: Dict[str, float] = {}
     histograms: Dict[str, Dict[str, float]] = {}
     for snap in snapshots:
@@ -253,7 +252,7 @@ def network_stats_snapshot(network: Any) -> Dict[str, Any]:
 
     Returns the canonical ``net_*`` instrument names; every counter is
     deterministic per ``(world, seed, campaign)``, so the fold keeps the
-    1-vs-N-worker determinism suites byte-identical.
+    destination-alone-vs-full-campaign determinism suites byte-identical.
     """
     raw = network.counters.snapshot() if hasattr(network, "counters") else {}
     counters: Dict[str, float] = {}
@@ -379,14 +378,9 @@ def format_metrics(snapshot: Optional[Dict[str, Any]], *, indent: str = "  ") ->
             f"{indent}data plane: {batch_series:g} batch series "
             f"({batch_packets:g} packets)"
         )
-        sampler_h = counter_value(snapshot, NET_SAMPLER_HITS)
-        sampler_m = counter_value(snapshot, NET_SAMPLER_MISSES)
         pruned = counter_value(snapshot, NET_LEDGER_PRUNED)
-        if sampler_h or sampler_m or pruned:
-            lines.append(
-                f"{indent}data plane: sampler cache {sampler_h:g} hits / "
-                f"{sampler_m:g} misses, {pruned:g} ledger flows pruned"
-            )
+        if pruned:
+            lines.append(f"{indent}data plane: {pruned:g} ledger flows pruned")
     wall = histogram_stats(snapshot, DEST_WALL_S)
     sim = histogram_stats(snapshot, DEST_SIM_S)
     if wall and sim and wall["count"]:

@@ -1,32 +1,33 @@
-"""Parallel campaigns: scale-out across destinations (§4.1.1 + §4.1.2).
+"""Per-destination campaigns: scale-out across destinations (§4.1.1 + §4.1.2).
 
 The paper's scalability requirement — "the system's capability to adapt
 to a larger workload ... the amount of data generated grows both with
 the number of tests performed per destination, as well as the number of
-destinations tested" — is met by sharding destinations over a thread
-pool.  Each worker owns its *own* simulated network client (its own
-clock and RNG streams, seeded per destination so results do not depend
-on scheduling), while all workers write to the shared, thread-safe
-document database.
+destinations tested" — is met by sharding the campaign per destination.
+Each destination runs on its *own* simulated network client (its own
+clock and RNG streams, seeded per destination), so its results are the
+same whether it runs alone or inside the full campaign.  Destinations
+run one after another in ``_id`` order: the work is GIL-bound numpy on
+tiny arrays, and a thread pool measured no faster than this loop.
 
 Fault isolation (§4.1.2) is the second half of the contract: one
 unreachable or misbehaving destination must never abort the fleet.  A
-worker that raises is converted into a failed per-destination
+destination that raises is converted into a failed
 :class:`~repro.suite.runner.CampaignReport` (the error recorded in
-``ParallelReport.failed_destinations``) while every other worker's
+``ParallelReport.failed_destinations``) while every other destination's
 results are kept.  ``fail_fast=True`` restores abort-on-first-error for
-debugging.
+debugging: the campaign stops at the failing destination, and the
+destinations sorted after it never run.
 
-Fault *injection* is live in parallel mode too: a shared
+Fault *injection* is live here too: a shared
 :class:`~repro.suite.faults.FaultPlan` is sliced into per-destination
-views (deterministic loss streams, locked shared counters) and the
-signing keypair is forwarded to every worker's runner.
+views (deterministic loss streams, shared counters) and the signing
+keypair is forwarded to every destination's runner.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
 from repro.crypto.rsa import RSAKeyPair
@@ -47,7 +48,7 @@ class ParallelReport:
     """Aggregate of the per-destination campaign reports."""
 
     per_destination: Dict[int, CampaignReport] = field(default_factory=dict)
-    #: server_id -> error string for workers whose whole campaign died.
+    #: server_id -> error string for destinations whose whole campaign died.
     failed_destinations: Dict[int, str] = field(default_factory=dict)
 
     @property
@@ -75,7 +76,7 @@ class ParallelReport:
         """Campaign-wide metrics: per-destination snapshots, folded.
 
         The fold is commutative, so the merged values are independent of
-        worker count and completion order.
+        the order the destinations ran in.
         """
         return m.merge_snapshots(
             self.per_destination[sid].metrics
@@ -99,13 +100,13 @@ class ParallelReport:
 
 
 class ParallelCampaign:
-    """Runs one single-destination campaign per worker thread.
+    """Runs one single-destination campaign per destination, in turn.
 
     ``faults`` and ``signer``/``signer_subject`` are forwarded to every
-    worker's :class:`TestRunner` (the plan through a per-destination
+    destination's :class:`TestRunner` (the plan through a per-destination
     :meth:`~repro.suite.faults.FaultPlan.scoped` view so injected-loss
-    draws stay scheduling-independent).  With the default
-    ``fail_fast=False`` a crashing worker is isolated: its destination is
+    draws do not depend on which destinations ran before).  With the
+    default ``fail_fast=False`` a crashing destination is isolated: it is
     reported in :attr:`ParallelReport.failed_destinations` and every
     other destination completes normally.
     """
@@ -138,8 +139,6 @@ class ParallelCampaign:
     def _host_for(self, server_id: int) -> ScionHost:
         """A fresh host whose network is seeded per destination."""
         if self.base_config is not None:
-            from dataclasses import replace
-
             net_config = replace(
                 self.base_config, seed=derive_seed(self.seed, f"dest:{server_id}")
             )
@@ -147,12 +146,13 @@ class ParallelCampaign:
             net_config = NetworkConfig(seed=derive_seed(self.seed, f"dest:{server_id}"))
         return ScionHost(self.topology, self.local_ia, config=net_config)
 
-    def run(self, *, iterations: int = 1, max_workers: int = 4) -> ParallelReport:
-        """Measure every configured destination concurrently.
+    def run(self, *, iterations: int = 1) -> ParallelReport:
+        """Measure every configured destination, one after another.
 
-        A worker exception never aborts the fleet (unless ``fail_fast``):
-        it becomes a failed :class:`CampaignReport` for that destination
-        and an entry in :attr:`ParallelReport.failed_destinations`.
+        A destination's exception never aborts the fleet (unless
+        ``fail_fast``): it becomes a failed :class:`CampaignReport` for
+        that destination and an entry in
+        :attr:`ParallelReport.failed_destinations`.
         """
         servers = self.db[SERVERS_COLLECTION].find(sort=[("_id", 1)])
         if self.config.destination_ids is not None:
@@ -162,32 +162,23 @@ class ParallelCampaign:
             servers = servers[:1]
 
         report = ParallelReport()
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(self._run_destination, int(s["_id"]), iterations): int(
-                    s["_id"]
+        for server in servers:
+            server_id = int(server["_id"])
+            try:
+                report.per_destination[server_id] = self._run_destination(
+                    server_id, iterations
                 )
-                for s in servers
-            }
-            for future in as_completed(futures):
-                server_id = futures[future]
-                try:
-                    report.per_destination[server_id] = future.result()
-                except Exception as exc:  # worker isolation boundary
-                    if self.fail_fast:
-                        for other in futures:
-                            other.cancel()
-                        raise
-                    failure = f"{type(exc).__name__}: {exc}"
-                    failed = CampaignReport(failure=failure)
-                    failed.record_error(f"destination {server_id}: {failure}")
-                    report.per_destination[server_id] = failed
-                    report.failed_destinations[server_id] = failure
+            except Exception as exc:  # per-destination isolation boundary
+                if self.fail_fast:
+                    raise
+                failure = f"{type(exc).__name__}: {exc}"
+                failed = CampaignReport(failure=failure)
+                failed.record_error(f"destination {server_id}: {failure}")
+                report.per_destination[server_id] = failed
+                report.failed_destinations[server_id] = failure
         return report
 
     def _run_destination(self, server_id: int, iterations: int) -> CampaignReport:
-        from dataclasses import replace
-
         host = self._host_for(server_id)
         config = replace(
             self.config,

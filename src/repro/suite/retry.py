@@ -16,7 +16,7 @@ Two properties matter for a *simulated* fleet:
 * **Jitter is deterministic.**  Each executor owns a PCG64 stream
   seeded via :func:`repro.util.rng.derive_seed`, so the exact backoff
   schedule is a pure function of ``(seed, draw order)`` — never of
-  thread scheduling.  Two runs of the same campaign produce identical
+  wall-clock timing.  Two runs of the same campaign produce identical
   simulated timelines.
 """
 

@@ -48,7 +48,7 @@ from repro.util.timefmt import TimestampSource
 
 #: Anything the runner can consult for fault injection: a whole plan
 #: (serial campaigns) or one destination's deterministic view of a
-#: shared plan (parallel campaigns).
+#: shared plan (per-destination campaigns).
 FaultSource = Union[FaultPlan, DestinationFaults]
 
 
@@ -66,7 +66,7 @@ class CampaignReport:
     sim_seconds: float = 0.0
     wall_seconds: float = 0.0
     #: Set when the whole campaign (not one measurement) died — parallel
-    #: mode synthesizes such a report for an isolated worker crash.
+    #: mode synthesizes such a report for an isolated destination crash.
     failure: Optional[str] = None
     #: Snapshot of the runner's :class:`~repro.suite.metrics.MetricsRegistry`.
     metrics: Dict[str, Any] = field(default_factory=dict)
@@ -150,7 +150,8 @@ class TestRunner:
         # Backoff jitter draws come from a stream keyed off the host's
         # network seed, so the retry schedule is reproducible and — in
         # parallel mode, where every destination gets its own seeded
-        # host — independent of worker scheduling.
+        # host — the same whether a destination runs alone or in the
+        # full campaign.
         self._retry = RetryExecutor(
             RetryPolicy.from_config(config),
             host.clock,
@@ -177,11 +178,11 @@ class TestRunner:
         # written inside the loop, so deriving the count from it reported
         # stale numbers for 0-iteration campaigns.
         report.destinations_tested = len(destinations) * iterations
-        # Fold the host's data-plane counters (batch probes, sampler
-        # cache, ledger prunes) into the campaign snapshot.  Both sides
-        # are deterministic per (world, seed, campaign) and the merge is
-        # commutative, so parallel per-destination reports stay
-        # byte-identical across worker counts.
+        # Fold the host's data-plane counters (batch probes, ledger
+        # prunes) into the campaign snapshot.  Both sides are
+        # deterministic per (world, seed, campaign) and the merge is
+        # commutative, so a destination's report in parallel mode is
+        # byte-identical whether it runs alone or in the full campaign.
         report.metrics = m.merge_snapshots(
             [self.metrics.snapshot(), m.network_stats_snapshot(self.host.network)]
         )

@@ -605,45 +605,24 @@ class TestSequenceIndex:
         assert host.daemon.path_by_sequence("16-ffaa:0:1002", "1-0:0:1#0,0") is None
 
 
-# -- link sampling cache -------------------------------------------------------
+# -- fluid-transfer windows -----------------------------------------------------
 
 
-class TestSamplingCache:
-    def test_repeat_window_hits_cache(self):
+class TestFluidWindow:
+    def test_window_after_add_episode_reflects_it(self):
         net = _fresh_net(7)
         steps = _path_user_to_leaf(net.topology)
-        state = net.link_state(steps[0].link)
+        link = steps[0].link
+        state = net.link_state(link)
         direction = state.direction_from(steps[0].sender)
-        first = state.window_sample(direction, 0.0, 3.0)
-        assert net.counters.sampler_misses >= 1
-        hits_before = net.counters.sampler_hits
-        second = state.window_sample(direction, 0.0, 3.0)
-        assert second == first
-        assert net.counters.sampler_hits == hits_before + 1
-
-    def test_episode_add_invalidates_cache(self):
-        net = _fresh_net(7)
-        steps = _path_user_to_leaf(net.topology)
-        state = net.link_state(steps[0].link)
-        direction = state.direction_from(steps[0].sender)
-        clean = state.window_sample(direction, 0.0, 3.0)
-        net.add_episode(
-            CongestionEpisode.on_links([steps[0].link], 0.0, 3.0, loss=0.5)
-        )
-        disturbed = state.window_sample(direction, 0.0, 3.0)
-        # Same key, new epoch: the answer reflects the new episode.
-        assert disturbed != clean
-        assert disturbed[1] == pytest.approx(0.5)  # window episode loss
-
-    def test_fluid_transfers_reuse_cached_windows(self):
-        net = _fresh_net(7)
-        steps = _path_user_to_leaf(net.topology)
-        packet = PacketSpec(payload_bytes=1400, n_hops=5, n_segments=2)
-        net.fluid_transfer(steps, 5e6, packet, duration_s=3.0)
-        misses = net.counters.sampler_misses
-        net.fluid_transfer(steps, 5e6, packet, duration_s=3.0)  # same window
-        assert net.counters.sampler_misses == misses
-        assert net.counters.sampler_hits >= len(steps)
+        clean = state.fluid_share(direction, 1e12, 1e3, 0.0, 3.0)
+        assert net.episodes.window_disturbance(link, 0.0, 3.0) == (0.0, 1.0)
+        net.add_episode(CongestionEpisode.on_links([link], 0.0, 3.0, loss=0.5))
+        # The same window, computed after the episode, sees it.
+        ep_loss, _ = net.episodes.window_disturbance(link, 0.0, 3.0)
+        assert ep_loss == pytest.approx(0.5)
+        disturbed = state.fluid_share(direction, 1e12, 1e3, 0.0, 3.0)
+        assert disturbed[0] < clean[0]
 
 
 # -- metrics plumbing ----------------------------------------------------------
@@ -659,10 +638,6 @@ class TestNetMetrics:
     def test_campaign_report_carries_data_plane_counters(self):
         digest, report = _campaign_digest()
         assert m.counter_value(report.metrics, m.NET_BATCH_PACKETS) == 80 * 30
-        # Every bwtest window lands at a fresh clock time in a serial
-        # campaign, so the sampler cache records misses (hits come from
-        # overlapping multi-user transfers, covered in TestSamplingCache).
-        assert m.counter_value(report.metrics, m.NET_SAMPLER_MISSES) > 0
         text = m.format_metrics(report.metrics)
         assert "data plane:" in text
         assert "batch series" in text

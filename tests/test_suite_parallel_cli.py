@@ -32,16 +32,16 @@ class TestParallelCampaign:
             host.topology, MY_AS, db, config,
             base_config=scionlab_network_config(seed=3), seed=3,
         )
-        report = campaign.run(iterations=1, max_workers=2)
+        report = campaign.run(iterations=1)
         assert set(report.per_destination) == {3, 5}
         assert report.stats_stored == 8  # 6 Magdeburg + 2 KAIST paths
         assert report.measurement_errors == 0
         assert db[STATS_COLLECTION].count_documents() == 8
 
-    def test_results_independent_of_worker_count(self, env):
+    def test_results_repeat_in_a_fresh_database(self, env):
         host, db, config = env
 
-        def run(workers):
+        def run():
             client = DocDBClient()
             fresh = client["upin"]
             seed_servers(fresh)
@@ -51,13 +51,13 @@ class TestParallelCampaign:
             ParallelCampaign(
                 host.topology, MY_AS, fresh, config,
                 base_config=scionlab_network_config(seed=3), seed=3,
-            ).run(iterations=1, max_workers=workers)
+            ).run(iterations=1)
             docs = fresh[STATS_COLLECTION].find(sort=[("_id", 1)])
             return [
                 (d["path_id"], round(d["avg_latency_ms"], 6)) for d in docs
             ]
 
-        assert run(1) == run(4)
+        assert run() == run()
 
 
 class TestSuiteCli:
@@ -92,8 +92,13 @@ class TestSuiteCli:
         restored = DocDBClient.load_from(db_dir)
         assert restored["upin"][STATS_COLLECTION].count_documents() == 22
 
+    def test_parallel_takes_no_value(self):
+        assert build_parser().parse_args(["1", "--parallel"]).parallel
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["1", "--parallel", "2"])
+
     def test_main_parallel_mode(self, capsys):
-        assert main(["1", "--some_only", "--parallel", "2"]) == 0
+        assert main(["1", "--some_only", "--parallel"]) == 0
         assert "parallel campaign" in capsys.readouterr().out
 
     def test_main_metrics_flag(self, capsys):
@@ -104,14 +109,14 @@ class TestSuiteCli:
 
     def test_main_parallel_metrics_and_fail_fast_flags(self, capsys):
         assert main(
-            ["1", "--some_only", "--parallel", "2", "--metrics", "--fail-fast"]
+            ["1", "--some_only", "--parallel", "--metrics", "--fail-fast"]
         ) == 0
         out = capsys.readouterr().out
         assert "parallel campaign" in out
         assert "metrics:" in out
 
     def test_main_parallel_signed(self, capsys):
-        assert main(["1", "--some_only", "--parallel", "2", "--sign"]) == 0
+        assert main(["1", "--some_only", "--parallel", "--sign"]) == 0
         out = capsys.readouterr().out
         assert "signing stats as" in out
         assert "parallel campaign: 22 stats stored" in out

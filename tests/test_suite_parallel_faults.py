@@ -1,6 +1,7 @@
-"""Fault isolation, fault injection and determinism of parallel campaigns."""
+"""Fault isolation, fault injection and determinism of per-destination campaigns."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -60,7 +61,7 @@ class TestFaultIsolation:
         )
         plan = FaultPlan(outages=[ServerOutage(bad, 0, 1, ServerHealth.DOWN)])
         campaign = make_campaign(host, db, config, faults=plan)
-        report = campaign.run(iterations=1, max_workers=4)
+        report = campaign.run(iterations=1)
 
         # Every destination is accounted for; exactly one failed.
         assert set(report.per_destination) == set(dest_ids)
@@ -89,14 +90,24 @@ class TestFaultIsolation:
         plan = FaultPlan(outages=[ServerOutage(3, 0, 1, ServerHealth.DOWN)])
         campaign = make_campaign(host, db, config, faults=plan, fail_fast=True)
         with pytest.raises(MeasurementError):
-            campaign.run(iterations=1, max_workers=2)
+            campaign.run(iterations=1)
+
+    def test_fail_fast_stops_before_later_destinations(self):
+        # Destinations run in _id order: 3 fails, so 5 never runs.
+        for _ in range(3):
+            host, db, config = fresh_env(
+                [3, 5], continue_on_error=False, max_retries=0
+            )
+            plan = FaultPlan(outages=[ServerOutage(3, 0, 1, ServerHealth.DOWN)])
+            campaign = make_campaign(host, db, config, faults=plan, fail_fast=True)
+            with pytest.raises(MeasurementError):
+                campaign.run(iterations=1)
+            assert db[STATS_COLLECTION].count_documents({"server_id": 5}) == 0
 
     def test_parallel_report_format_text(self):
         host, db, config = fresh_env([3, 5], continue_on_error=False, max_retries=0)
         plan = FaultPlan(outages=[ServerOutage(3, 0, 1, ServerHealth.DOWN)])
-        report = make_campaign(host, db, config, faults=plan).run(
-            iterations=1, max_workers=2
-        )
+        report = make_campaign(host, db, config, faults=plan).run(iterations=1)
         text = report.format_text()
         assert "destinations: 1 ok, 1 failed" in text
         assert "- 3: ServerUnreachableError" in text
@@ -112,7 +123,7 @@ class TestParallelFaultInjection:
             data_loss=DataLossFault(probability=1.0),
         )
         campaign = make_campaign(host, db, config, faults=plan)
-        report = campaign.run(iterations=2, max_workers=2)
+        report = campaign.run(iterations=2)
 
         counts = paths_per_destination(db)
         # Destination 3 loses its iteration-1 batch (iteration 0 produced
@@ -138,42 +149,63 @@ class TestParallelFaultInjection:
         campaign = make_campaign(
             host, db, config, signer=kp, signer_subject="17-ffaa:1:e01"
         )
-        report = campaign.run(iterations=1, max_workers=2)
+        report = campaign.run(iterations=1)
         assert report.stats_stored == 8
         doc = db[STATS_COLLECTION].find_one()
         assert SIGNATURE_FIELD in doc
         verifier(doc)  # signature survives storage
 
 
-def run_campaign_docs(max_workers, fault_plan_factory=None):
-    """One full parallel campaign; returns the stored docs, serialized."""
+def stats_docs(run_ids, fault_plan_factory=None):
+    """Run a campaign over ``run_ids`` in a world that collected the paths
+    of destinations 3 and 5; returns each run destination's stats docs,
+    serialized, and the fault plan."""
     host, db, config = fresh_env([3, 5], max_retries=0)
     faults = fault_plan_factory() if fault_plan_factory is not None else None
-    campaign = make_campaign(host, db, config, faults=faults)
-    campaign.run(iterations=2, max_workers=max_workers)
-    docs = db[STATS_COLLECTION].find(sort=[("_id", 1)])
-    return json.dumps(docs, sort_keys=True), faults
+    config = replace(config, destination_ids=list(run_ids))
+    make_campaign(host, db, config, faults=faults).run(iterations=2)
+    docs = {
+        d: json.dumps(
+            db[STATS_COLLECTION].find({"server_id": d}, sort=[("_id", 1)]),
+            sort_keys=True,
+        )
+        for d in run_ids
+    }
+    return docs, faults
+
+
+def outage_and_loss_plan():
+    return FaultPlan(
+        outages=[ServerOutage(3, 0, 1, ServerHealth.DOWN)],
+        data_loss=DataLossFault(probability=0.5, seed=99),
+    )
 
 
 class TestSchedulingIndependence:
-    def test_byte_identical_across_worker_counts(self):
-        solo, _ = run_campaign_docs(max_workers=1)
-        fleet, _ = run_campaign_docs(max_workers=8)
-        assert solo == fleet
+    """A destination's results do not depend on the destinations around it."""
 
-    def test_byte_identical_under_active_fault_plan(self):
-        def plan():
-            return FaultPlan(
-                outages=[ServerOutage(3, 0, 1, ServerHealth.DOWN)],
-                data_loss=DataLossFault(probability=0.5, seed=99),
-            )
+    def test_alone_equals_full_campaign(self):
+        full, _ = stats_docs([3, 5])
+        for d in (3, 5):
+            alone, _ = stats_docs([d])
+            assert alone[d] == full[d]
+        assert full[3] != "[]" and full[5] != "[]"
 
-        solo, plan_a = run_campaign_docs(max_workers=1, fault_plan_factory=plan)
-        fleet, plan_b = run_campaign_docs(max_workers=8, fault_plan_factory=plan)
-        assert solo == fleet
-        # The injected-fault tallies are scheduling-independent as well.
-        assert plan_a.injected_losses == plan_b.injected_losses
-        assert plan_a.injected_outages == plan_b.injected_outages
+    def test_alone_equals_full_under_fault_plan(self):
+        full, plan = stats_docs([3, 5], outage_and_loss_plan)
+        tallies = {"injected_losses": 0, "injected_outages": 0}
+        for d in (3, 5):
+            alone, alone_plan = stats_docs([d], outage_and_loss_plan)
+            assert alone[d] == full[d]
+            for name in tallies:
+                tallies[name] += getattr(alone_plan, name)
+        # The injected-fault tallies of the solo runs add up to the
+        # full campaign's.
+        assert tallies == {
+            "injected_losses": plan.injected_losses,
+            "injected_outages": plan.injected_outages,
+        }
+        assert plan.injected_losses > 0 and plan.injected_outages > 0
 
     def test_scoped_views_share_counters_with_parent(self):
         plan = FaultPlan(data_loss=DataLossFault(probability=1.0))
