@@ -29,6 +29,10 @@ _ACCUMULATORS = frozenset(
     }
 )
 
+#: Exact types an accumulator counts as numeric without the slower
+#: ``numbers.Number`` check (bool, an int subclass, is not one of them).
+_PLAIN_NUMBERS = frozenset({int, float})
+
 #: Stages the pipeline executor implements (kept in sync with
 #: ``run_pipeline``'s dispatch; docs/DATABASE.md documents each one).
 SUPPORTED_STAGES = frozenset(
@@ -103,7 +107,12 @@ def run_pipeline(
 def evaluate(doc: Dict[str, Any], expr: Any) -> Any:
     """Evaluate an expression against a document."""
     if isinstance(expr, str) and expr.startswith("$"):
-        found, value = get_path(doc, expr[1:])
+        path = expr[1:]
+        if path and "." not in path and isinstance(doc, dict):
+            # A top-level field: exactly what ``get_path`` resolves,
+            # without building its generator chain per document.
+            return doc.get(path)
+        found, value = get_path(doc, path)
         return value if found else None
     if isinstance(expr, dict):
         return {k: evaluate(doc, v) for k, v in expr.items()}
@@ -160,7 +169,14 @@ def _group_stage(
 
 
 def _accumulate(acc: str, expr: Any, members: List[Dict[str, Any]]) -> Any:
-    values = [evaluate(d, expr) for d in members]
+    path = expr[1:] if isinstance(expr, str) and expr.startswith("$") else ""
+    if path and "." not in path:
+        # evaluate()'s top-level field read, hoisted out of the loop.
+        values = [
+            d.get(path) if type(d) is dict else evaluate(d, expr) for d in members
+        ]
+    else:
+        values = [evaluate(d, expr) for d in members]
     if acc == "$push":
         return values
     if acc == "$addToSet":
@@ -173,7 +189,12 @@ def _accumulate(acc: str, expr: Any, members: List[Dict[str, Any]]) -> Any:
         return values[0] if values else None
     if acc == "$last":
         return values[-1] if values else None
-    numeric = [v for v in values if isinstance(v, Number) and not isinstance(v, bool)]
+    numeric = [
+        v
+        for v in values
+        if type(v) in _PLAIN_NUMBERS
+        or (isinstance(v, Number) and not isinstance(v, bool))
+    ]
     if acc == "$sum":
         return sum(numeric) if numeric else 0
     if acc == "$avg":

@@ -260,7 +260,28 @@ class Collection:
 
         Results are served from the epoch-keyed query cache when the
         exact same ``(filter, projection, sort, limit, skip)`` was
-        answered since the last write.
+        answered since the last write.  The caller owns what it gets.
+        """
+        return json_deepcopy(
+            self._find(flt, projection, sort=sort, limit=limit, skip=skip)
+        )
+
+    def _find(
+        self,
+        flt: Optional[Dict[str, Any]] = None,
+        projection: Optional[Dict[str, int]] = None,
+        *,
+        sort: Optional[SortSpec] = None,
+        limit: int = 0,
+        skip: int = 0,
+    ) -> List[Dict[str, Any]]:
+        """:meth:`find` without the copy, for trusted in-tree readers.
+
+        No-mutation contract: the result may be the cached entry itself
+        or share values with stored documents, so the caller must not
+        mutate it, or anything reachable from it, and must copy what it
+        keeps.  A miss copies its result once, and only when it goes
+        into the cache; that copy is what the caller gets.
         """
         flt = flt or {}
         sort_key = tuple((f, d) for f, d in sort) if sort else None
@@ -271,10 +292,12 @@ class Collection:
                 cached = self.cache.get(cache_key, epoch)
                 if cached is not None:
                     self.stats["cache_hits"] += 1
-                    return json_deepcopy(cached)
+                    return cached
                 self.stats["cache_misses"] += 1
-            matched = self._execute_filter(flt)
-            out = [json_deepcopy(d) for d in matched]
+            # Writes swap in new document dicts and never edit stored
+            # ones, so the matched list stays a consistent snapshot
+            # after the lock is released.
+            out = self._execute_filter(flt)
         if sort:
             out = _sorted_docs(out, sort)
         if skip:
@@ -284,9 +307,9 @@ class Collection:
         if projection:
             out = [_project(d, projection) for d in out]
         if cache_key is not None:
+            out = json_deepcopy(out)
             with self._lock:
                 self.cache.put(cache_key, epoch, out)
-            return json_deepcopy(out)
         return out
 
     def find_one(
@@ -600,7 +623,18 @@ class Collection:
         remaining stages run over the matched stored documents without
         copying them; only the pipeline's output is copied.  Results are
         cached like ``find`` (pipelines containing live objects, e.g. a
-        ``$lookup`` ``from`` collection, are exempt).
+        ``$lookup`` ``from`` collection, are exempt).  The caller owns
+        what it gets.
+        """
+        return json_deepcopy(self._aggregate(pipeline))
+
+    def _aggregate(self, pipeline: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """:meth:`aggregate` without the copy, for trusted in-tree readers.
+
+        Same no-mutation contract as :meth:`_find`: a hit returns the
+        cached entry itself, a miss copies the pipeline output once when
+        it goes into the cache, and an uncacheable pipeline's output may
+        share values with stored documents.
         """
         from repro.docdb.aggregate import run_pipeline, split_leading_match
 
@@ -612,18 +646,18 @@ class Collection:
                 cached = self.cache.get(cache_key, epoch)
                 if cached is not None:
                     self.stats["cache_hits"] += 1
-                    return json_deepcopy(cached)
+                    return cached
                 self.stats["cache_misses"] += 1
             # Writes swap in new document dicts (``apply_update`` returns
             # a copy), so the matched list stays a consistent snapshot
             # after the lock is released — and a ``$lookup`` into another
             # collection never runs under this collection's lock.
             matched = self._execute_filter(match)
-        out = json_deepcopy(run_pipeline(matched, rest))
+        out = run_pipeline(matched, rest)
         if cache_key is not None:
+            out = json_deepcopy(out)
             with self._lock:
                 self.cache.put(cache_key, epoch, out)
-            return json_deepcopy(out)
         return out
 
     # -- misc -------------------------------------------------------------------------------------------
@@ -679,7 +713,7 @@ def _project(doc: Dict[str, Any], projection: Dict[str, int]) -> Dict[str, Any]:
         for path in include:
             found, value = get_path(doc, path)
             if found:
-                out[path] = json_deepcopy(value)
+                out[path] = value
         if "_id" not in exclude and "_id" in doc:
             out["_id"] = doc["_id"]
         return out

@@ -16,6 +16,10 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.errors import QueryError, ValidationError
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
+#: Exact scalar types the fused insert walk stores without a call.
+_SCALAR_TYPES = frozenset(_JSON_SCALARS)
+#: Deepest nesting level a stored value may sit at (the document is 0).
+_MAX_DEPTH = 64
 
 
 def new_object_id() -> str:
@@ -28,15 +32,21 @@ def normalize_document(
 ) -> Dict[str, Any]:
     """Deep-copy and validate a document; assign an ``_id`` if missing.
 
-    ``deep_copy=False`` skips the defensive copy for callers that
-    provably own the dict — the recovery loaders pass documents fresh
-    out of ``json.loads`` (snapshot lines, WAL payloads), where copying
-    them again roughly triples recovery time.  Validation always runs.
+    The copy and the validation are one walk (:func:`_checked_copy`):
+    every value is copied as it is checked, so an insert touches each
+    value once.  ``deep_copy=False`` skips the defensive copy for
+    callers that provably own the dict — the recovery loaders pass
+    documents fresh out of ``json.loads`` (snapshot lines, WAL
+    payloads), where copying them again roughly triples recovery time.
+    Validation always runs, with the same errors either way.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"document must be a dict, got {type(doc).__name__}")
-    _check_value(doc, depth=0)
-    out = json_deepcopy(doc) if deep_copy else doc
+    if deep_copy:
+        out = _checked_copy(doc, 0)
+    else:
+        _check_value(doc, depth=0)
+        out = doc
     if ensure_id and "_id" not in out:
         out["_id"] = new_object_id()
     return out
@@ -46,10 +56,10 @@ def json_deepcopy(value: Any) -> Any:
     """Deep copy for JSON-shaped values, far cheaper than ``copy.deepcopy``.
 
     Validated documents only ever contain dicts with string keys, lists,
-    tuples and immutable scalars (:func:`_check_value` enforces this on
-    the way in, and rejects cyclic structures via its depth limit), so
-    the generic deepcopy machinery — memo dict, reductor dispatch — is
-    pure overhead on the storage hot path.  Semantics match
+    tuples and immutable scalars (:func:`normalize_document` enforces
+    this on the way in, and rejects cyclic structures via its depth
+    limit), so the generic deepcopy machinery — memo dict, reductor
+    dispatch — is pure overhead on the storage hot path.  Semantics match
     ``copy.deepcopy`` for that value domain: containers are rebuilt,
     immutable scalars returned as-is.
     """
@@ -63,7 +73,7 @@ def json_deepcopy(value: Any) -> Any:
 
 
 def _check_value(value: Any, depth: int) -> None:
-    if depth > 64:
+    if depth > _MAX_DEPTH:
         raise ValidationError("document nesting too deep")
     if isinstance(value, dict):
         for key, sub in value.items():
@@ -77,6 +87,45 @@ def _check_value(value: Any, depth: int) -> None:
         raise ValidationError(
             f"unsupported value type in document: {type(value).__name__}"
         )
+
+
+def _checked_copy(value: Any, depth: int) -> Any:
+    """:func:`_check_value` and :func:`json_deepcopy` in one walk.
+
+    Raises exactly what ``_check_value`` raises, for the first bad value
+    in the same depth-first order, and otherwise returns what
+    ``json_deepcopy`` returns.  Exact builtin types are dispatched on
+    ``type()`` and scalar members are stored without a call; subclasses
+    (an ``OrderedDict``, a str-valued enum, a namedtuple) take the
+    ``isinstance`` fallback, which copies them like ``json_deepcopy``.
+    """
+    if depth > _MAX_DEPTH:
+        raise ValidationError("document nesting too deep")
+    kind = type(value)
+    if kind in _SCALAR_TYPES:
+        return value
+    # Members of a container at the depth limit sit one level too deep,
+    # so only shallower containers may store scalar members inline.
+    inline = depth < _MAX_DEPTH
+    if kind is dict or isinstance(value, dict):
+        out: Dict[str, Any] = {}
+        for key, sub in value.items():
+            if not isinstance(key, str):
+                raise ValidationError(f"document keys must be strings: {key!r}")
+            if inline and type(sub) in _SCALAR_TYPES:
+                out[key] = sub
+            else:
+                out[key] = _checked_copy(sub, depth + 1)
+        return out
+    if isinstance(value, (list, tuple)):
+        items = [
+            sub if inline and type(sub) in _SCALAR_TYPES else _checked_copy(sub, depth + 1)
+            for sub in value
+        ]
+        return items if isinstance(value, list) else tuple(items)
+    if isinstance(value, _JSON_SCALARS):
+        return value
+    raise ValidationError(f"unsupported value type in document: {kind.__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -82,11 +82,18 @@ class PathSelector:
         One grouped ``paths_stats`` aggregation plus one ``paths`` read;
         the path document travels with its summary so ranking needs no
         further lookup.
+
+        Both reads are the collections' uncopied internal reads, so a
+        query-cache hit hands back the cached result itself.  That is
+        safe under their no-mutation contract, which this method and
+        its callers keep: the summaries copy what they hold (``list``,
+        ``int``, ``float``, ``str``), and the returned path documents
+        are only read, never changed or handed out.
         """
         match: Dict[str, object] = {"server_id": server_id}
         if since_ms is not None:
             match["timestamp_ms"] = {"$gte": since_ms}
-        grouped = self.db[STATS_COLLECTION].aggregate(
+        grouped = self.db[STATS_COLLECTION]._aggregate(
             [
                 {"$match": match},
                 {
@@ -104,7 +111,7 @@ class PathSelector:
         )
         by_path = {g["_id"]: g for g in grouped}
         out: List[Tuple[PathAggregate, Dict[str, Any]]] = []
-        for path_doc in self.db[PATHS_COLLECTION].find(
+        for path_doc in self.db[PATHS_COLLECTION]._find(
             {"server_id": server_id}, sort=[("path_index", 1)]
         ):
             g = by_path.get(path_doc["_id"])

@@ -14,18 +14,22 @@ Running the selection engine means aggregating every ``paths_stats``
 sample for the destination — the most expensive query in the system.
 Between measurement campaigns that data does not change, so the
 controller memoizes :class:`~repro.selection.engine.SelectionResult`
-on the key ``(destination, constraint-set, paths-epoch, stats-epoch)``:
+on the key ``(constraint-set, paths-epoch, stats-epoch, servers-epoch)``:
 
-* the *constraint-set* is the full user intent (metric, weights,
-  exclusions, hard limits), canonicalised by :func:`request_cache_key`;
-* the *epochs* are the write epochs of the ``paths`` and
-  ``paths_stats`` collections, which :class:`~repro.suite.storage.
-  StatsRepository` bumps exactly once per batch flush.
+* the *constraint-set* is the full user intent (destination, metric,
+  weights, exclusions, hard limits), canonicalised by
+  :func:`request_cache_key`;
+* the *epochs* are the write epochs of the ``paths``, ``paths_stats``
+  and ``servers`` collections; :class:`~repro.suite.storage.
+  StatsRepository` bumps the first two exactly once per batch flush.
 
-Repeated identical intents between campaigns are therefore O(1)
-dictionary hits; the first intent after a batch lands recomputes and
-re-caches.  Memoized :class:`SelectionResult` objects are shared — they
-are treated as immutable by every consumer.
+A memo entry also keeps the destination server's resolved
+``(ISDAS, address)``, read by the first :meth:`PathController.
+apply_intent` that uses the entry.  Repeated identical intents between
+campaigns are therefore O(1) dictionary hits with no database read; the
+first intent after a batch lands (or after a server's address or AS
+changes) recomputes and re-caches.  Memoized :class:`SelectionResult`
+objects are shared — they are treated as immutable by every consumer.
 """
 
 from __future__ import annotations
@@ -96,6 +100,15 @@ class FlowRule:
         return best.aggregate.path_id
 
 
+@dataclass
+class _MemoEntry:
+    """One selection memo entry: the selection and, once an intent used
+    it, the destination server as ``(ISDAS, address)``."""
+
+    selection: SelectionResult
+    server: Optional[Tuple[ISDAS, str]] = None
+
+
 class PathController:
     """Applies user intents by pinning SCION paths.
 
@@ -114,8 +127,8 @@ class PathController:
         self.host = host
         self.selector = selector
         self._flows: Dict[Tuple[str, int], FlowRule] = {}
-        # (constraint-key, paths-epoch, stats-epoch) -> SelectionResult
-        self._selection_cache: "OrderedDict[Tuple[Any, ...], SelectionResult]" = (
+        # (constraint-key, paths-, stats-, servers-epoch) -> _MemoEntry
+        self._selection_cache: "OrderedDict[Tuple[Any, ...], _MemoEntry]" = (
             OrderedDict()
         )
         self._selection_cache_size = max(1, selection_cache_size)
@@ -124,30 +137,44 @@ class PathController:
 
     # -- selection memo ----------------------------------------------------------
 
-    def _epochs(self) -> Tuple[int, int]:
-        """Write epochs of the two collections a selection depends on."""
+    def _epochs(self) -> Tuple[int, int, int]:
+        """Write epochs of the collections a memo entry depends on."""
         db = self.selector.db
-        return (db[PATHS_COLLECTION].epoch, db[STATS_COLLECTION].epoch)
+        return (
+            db[PATHS_COLLECTION].epoch,
+            db[STATS_COLLECTION].epoch,
+            db[SERVERS_COLLECTION].epoch,
+        )
 
     def cached_select(self, request: UserRequest) -> SelectionResult:
         """Selection engine result, memoized per (intent, data epoch).
 
         A hit costs one dict lookup; a miss runs the full
         aggregate-filter-score pipeline and caches the outcome until
-        the next measurement batch bumps either collection's epoch.
+        the next write bumps one of the collections' epochs.
         """
+        return self._memo_entry(request).selection
+
+    def _memo_entry(self, request: UserRequest) -> _MemoEntry:
         key = (request_cache_key(request),) + self._epochs()
-        cached = self._selection_cache.get(key)
-        if cached is not None:
+        entry = self._selection_cache.get(key)
+        if entry is not None:
             self._selection_cache.move_to_end(key)
             self.selection_cache_hits += 1
-            return cached
+            return entry
         self.selection_cache_misses += 1
-        result = self.selector.select(request)
-        self._selection_cache[key] = result
+        entry = _MemoEntry(self.selector.select(request))
+        self._selection_cache[key] = entry
         while len(self._selection_cache) > self._selection_cache_size:
             self._selection_cache.popitem(last=False)
-        return result
+        return entry
+
+    def _resolve_server(self, server_id: int) -> Optional[Tuple[ISDAS, str]]:
+        """``(ISDAS, address)`` of a destination server, None if unknown."""
+        docs = self.selector.db[SERVERS_COLLECTION]._find({"_id": server_id}, limit=1)
+        if not docs:
+            return None
+        return ISDAS.parse(str(docs[0]["isd_as"])), str(docs[0]["address"])
 
     def selection_cache_info(self) -> Dict[str, int]:
         """Memo counters: ``{"size", "hits", "misses"}`` (for CLI/metrics)."""
@@ -172,17 +199,17 @@ class PathController:
         path exists, the destination is unknown, or the selected
         sequence can no longer be resolved to a live path.
         """
-        selection = self.cached_select(request)
+        entry = self._memo_entry(request)
+        selection = entry.selection
         if selection.best is None:
             raise NoPathError(
                 f"no admissible path for user {user!r} to server {request.server_id}"
             )
-        server = self.selector.db[SERVERS_COLLECTION].find_one(
-            {"_id": request.server_id}
-        )
-        if server is None:
-            raise NoPathError(f"unknown server id {request.server_id}")
-        dst_ia = ISDAS.parse(str(server["isd_as"]))
+        if entry.server is None:
+            entry.server = self._resolve_server(request.server_id)
+            if entry.server is None:
+                raise NoPathError(f"unknown server id {request.server_id}")
+        dst_ia, address = entry.server
         path = self.host.daemon.path_by_sequence(dst_ia, selection.best.sequence)
         if path is None:
             raise NoPathError(
@@ -191,7 +218,7 @@ class PathController:
         rule = FlowRule(
             user=user,
             server_id=request.server_id,
-            server_address=str(server["address"]),
+            server_address=address,
             path=path,
             request=request,
             selection=selection,

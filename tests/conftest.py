@@ -8,6 +8,7 @@ objects instead.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.docdb.client import DocDBClient
 from repro.experiments.world import run_campaign
@@ -18,6 +19,12 @@ from tests.helpers import build_tiny_world
 
 
 TEST_SEED = 424242
+
+# Property tests are judged on their examples, not on how fast a loaded
+# machine runs them: no per-example deadline anywhere.  Suites set only
+# their example counts and health checks.
+settings.register_profile("repro", deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

@@ -208,7 +208,6 @@ gap_streams = st.lists(
 class TestCooldownLaw:
     @settings(
         max_examples=20,
-        deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(gaps=gap_streams, force=st.booleans())

@@ -56,8 +56,8 @@ from repro.topology.scionlab import (
 from tests import reference_walker
 from tests.helpers import build_tiny_world
 
-FAST_SETTINGS = settings(max_examples=10, deadline=None)
-SLOW_SETTINGS = settings(max_examples=5, deadline=None)
+FAST_SETTINGS = settings(max_examples=10)
+SLOW_SETTINGS = settings(max_examples=5)
 
 #: sha256 over the sorted stats documents of the seeded study campaign
 #: (seed 20231112, 1 iteration, 5 destinations, 80 docs), captured on

@@ -110,7 +110,7 @@ def pytest_approx(value, rel=1e-9, abs_tol=1e-6):
 
 class TestScionProperties:
     @given(st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_combined_paths_always_loop_free_and_ranked(self, seed):
         """Across arbitrary destinations of the world: no loops, ranked."""
         from repro.scion.snet import ScionHost
@@ -127,7 +127,7 @@ class TestScionProperties:
             assert str(p.dst) == ia
 
     @given(st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_sequence_roundtrip_for_any_path(self, seed):
         from repro.apps.sequence import Sequence
         from repro.topology.scionlab import AVAILABLE_SERVERS

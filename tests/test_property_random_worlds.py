@@ -70,7 +70,7 @@ def world_and_pair(draw):
 
 class TestRandomWorldInvariants:
     @given(world_and_pair())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_combinator_invariants(self, case):
         topo, src, dst = case
         beaconer = Beaconer(topo)
@@ -93,7 +93,7 @@ class TestRandomWorldInvariants:
                 assert s1.link.other(s1.sender) == s2.sender
 
     @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_reachability_symmetric(self, seed):
         """If src reaches dst, dst reaches src (undirected substrate)."""
         topo, nodes = random_world(seed)
@@ -116,7 +116,7 @@ class TestRandomWorldInvariants:
         assert reachable(src, dst) == reachable(dst, src)
 
     @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_min_hops_matches_graph_distance(self, seed):
         """The best path's hop count can never beat the plain shortest
         path in the undirected link graph (SCION only restricts)."""

@@ -28,7 +28,7 @@ from repro.errors import DataLossError, WalCorruptionError
 from repro.suite.faults import CrashPlan, SimulatedCrash
 from repro.suite.storage import StatsRepository
 
-WAL_SETTINGS = settings(max_examples=25, deadline=None)
+WAL_SETTINGS = settings(max_examples=25)
 
 
 def canonical(client: DocDBClient):

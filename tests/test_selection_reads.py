@@ -32,6 +32,8 @@ from repro.suite.config import (
     SuiteConfig,
 )
 from repro.suite.runner import TestRunner
+from repro.topology.isd_as import ISDAS
+from repro.upin.controller import PathController
 
 METRICS = (Metric.LATENCY, Metric.JITTER, Metric.BANDWIDTH_DOWN, Metric.LOSS)
 
@@ -128,14 +130,17 @@ def world():
     return host, db, pool
 
 
+#: Where each docdb read is counted: the shared implementations that the
+#: public ``find``/``aggregate`` and the selection engine's uncopied
+#: internal reads both go through, plus ``find_one``.
+READ_HOOKS = {"_find": "find", "find_one": "find_one", "_aggregate": "aggregate"}
+
+
 @contextmanager
 def counted_reads() -> Iterator[List[Tuple[str, str]]]:
-    """Record ``(method, collection name)`` for every docdb read call,
+    """Record ``(read, collection name)`` for every docdb read call,
     nested ones included."""
     calls: List[Tuple[str, str]] = []
-    originals = {
-        name: getattr(Collection, name) for name in ("find", "find_one", "aggregate")
-    }
 
     def wrap(name, fn):
         def counted(self, *args, **kwargs):
@@ -145,7 +150,11 @@ def counted_reads() -> Iterator[List[Tuple[str, str]]]:
         return counted
 
     with mock.patch.multiple(
-        Collection, **{name: wrap(name, fn) for name, fn in originals.items()}
+        Collection,
+        **{
+            attr: wrap(name, getattr(Collection, attr))
+            for attr, name in READ_HOOKS.items()
+        },
     ):
         yield calls
 
@@ -179,3 +188,63 @@ class TestSelectionMissReads:
         assert calls.count(("find", PATHS_COLLECTION)) == 1
         assert [c for c in calls if c[0] == "find_one"] == []
         assert len(calls) == 2
+
+    def test_apply_intent_memo_hit_makes_no_reads(self, world):
+        host, db, pool = world
+        controller = PathController(host, PathSelector(db, host.topology))
+        request = pool[0]
+        first = controller.apply_intent("alice", request)
+        with counted_reads() as calls:
+            again = controller.apply_intent("alice", request)
+        assert calls == []
+        assert controller.selection_cache_info()["hits"] == 1
+        assert again.selection is first.selection
+        assert (again.server_address, again.path) == (first.server_address, first.path)
+
+
+@contextmanager
+def server_changed(db, server_id: int, **fields: Any) -> Iterator[Dict[str, Any]]:
+    """``$set`` fields of one server document, restored on exit."""
+    servers = db[SERVERS_COLLECTION]
+    before = servers.find_one({"_id": server_id})
+    servers.update_one({"_id": server_id}, {"$set": fields})
+    try:
+        yield before
+    finally:
+        servers.replace_one({"_id": server_id}, before)
+
+
+class TestServerChangeInvalidatesMemo:
+    """The memo entry carries the resolved server, so a write to the
+    ``servers`` collection must reach the next ``apply_intent``."""
+
+    def test_new_address_reaches_the_next_rule(self, world):
+        host, db, pool = world
+        controller = PathController(host, PathSelector(db, host.topology))
+        request = pool[0]
+        old = controller.apply_intent("alice", request)
+        with server_changed(db, request.server_id, address="10.99.0.1"):
+            new = controller.apply_intent("alice", request)
+        assert old.server_address != "10.99.0.1"
+        assert new.server_address == "10.99.0.1"
+        assert controller.selection_cache_info()["misses"] == 2
+
+    def test_new_isd_as_reaches_the_path_lookup(self, world):
+        host, db, pool = world
+        controller = PathController(host, PathSelector(db, host.topology))
+        request = pool[0]
+        controller.apply_intent("alice", request)
+        other = next(
+            s["isd_as"]
+            for s in db[SERVERS_COLLECTION].find(sort=[("_id", 1)])
+            if s["_id"] != request.server_id
+        )
+        daemon = host.daemon
+        with mock.patch.object(
+            daemon, "path_by_sequence", wraps=daemon.path_by_sequence
+        ) as spy, server_changed(db, request.server_id, isd_as=other):
+            try:
+                controller.apply_intent("alice", request)
+            except NoPathError:
+                pass  # the old sequence need not lead to the new AS
+        assert str(spy.call_args.args[0]) == str(ISDAS.parse(other))

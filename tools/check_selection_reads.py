@@ -12,6 +12,10 @@ metric, clears the docdb query caches and counts the docdb reads of one
 * ``Collection.find`` calls made inside the aggregation must be 0 (its
   leading ``$match`` goes straight to the query planner).
 
+It then applies the same intent twice: the first ``apply_intent``
+resolves the destination server into the memo entry, and the second, a
+pure memo hit, must make 0 docdb reads.
+
 Counts, not seconds, so the gate is immune to machine speed.
 
 Usage::
@@ -39,14 +43,18 @@ from repro.suite.runner import TestRunner
 from repro.upin.controller import PathController
 
 METRICS = (Metric.LATENCY, Metric.JITTER, Metric.BANDWIDTH_DOWN, Metric.LOSS)
-READS = ("find", "find_one", "aggregate")
+#: Read name per hooked ``Collection`` attribute.  ``_find`` and
+#: ``_aggregate`` are the shared implementations behind the public
+#: ``find``/``aggregate`` and the selection engine's uncopied reads, so
+#: every read is counted once whichever entry point it came through.
+READS = {"_find": "find", "find_one": "find_one", "_aggregate": "aggregate"}
 
 
 @contextmanager
 def counted_reads() -> Iterator[List[Tuple[str, str, bool]]]:
-    """Record ``(method, collection, inside_aggregate)`` per docdb read."""
+    """Record ``(read, collection, inside_aggregate)`` per docdb read."""
     calls: List[Tuple[str, str, bool]] = []
-    originals = {name: getattr(Collection, name) for name in READS}
+    originals = {attr: getattr(Collection, attr) for attr in READS}
     depth = [0]
 
     def wrap(name, fn):
@@ -60,17 +68,18 @@ def counted_reads() -> Iterator[List[Tuple[str, str, bool]]]:
 
         return counted
 
-    for name, fn in originals.items():
-        setattr(Collection, name, wrap(name, fn))
+    for attr, fn in originals.items():
+        setattr(Collection, attr, wrap(READS[attr], fn))
     try:
         yield calls
     finally:
-        for name, fn in originals.items():
-            setattr(Collection, name, fn)
+        for attr, fn in originals.items():
+            setattr(Collection, attr, fn)
 
 
 def count_misses(seed: int) -> List[Dict[str, int]]:
-    """Read counts of one selection miss per destination and metric."""
+    """Read counts of one selection miss, and of one ``apply_intent``
+    memo hit, per destination and metric."""
     host = ScionHost.scionlab(seed=seed)
     db = DocDBClient()["upin"]
     seed_servers(db)
@@ -84,8 +93,12 @@ def count_misses(seed: int) -> List[Dict[str, int]]:
             controller = PathController(host, PathSelector(db, host.topology))
             for name in (STATS_COLLECTION, PATHS_COLLECTION):
                 db[name].cache.clear()
+            request = UserRequest.make(sid, metric)
             with counted_reads() as calls:
-                controller.cached_select(UserRequest.make(sid, metric))
+                controller.cached_select(request)
+            controller.apply_intent("gate", request)
+            with counted_reads() as hit_calls:
+                controller.apply_intent("gate", request)
             tally = Counter((m, c) for m, c, _ in calls)
             out.append(
                 {
@@ -99,6 +112,8 @@ def count_misses(seed: int) -> List[Dict[str, int]]:
                     ),
                     "reads": len(calls),
                     "misses": controller.selection_cache_misses,
+                    "hit_reads": len(hit_calls),
+                    "hits": controller.selection_cache_hits,
                 }
             )
     return out
@@ -117,6 +132,8 @@ def main() -> int:
         "find_inside_aggregate": 0,
         "reads": 2,
         "misses": 1,
+        "hit_reads": 0,
+        "hits": 2,
     }
     failures = []
     for row in rows:
@@ -135,7 +152,8 @@ def main() -> int:
     if not failures:
         print(
             "selection miss OK: one paths_stats aggregate, one paths read, "
-            "no find_one, no find inside the aggregate"
+            "no find_one, no find inside the aggregate; "
+            "apply_intent memo hit OK: no docdb read"
         )
     return 1 if failures else 0
 
