@@ -181,19 +181,18 @@ class BwtestApp:
         cs_params = parse_bwtest_params(cs, mtu=mtu)
         sc_params = parse_bwtest_params(sc, mtu=mtu) if sc is not None else cs_params
 
-        forward = path.traversals(self.host.topology)
-        backward = [t.reversed() for t in reversed(forward)]
         network = self.host.network
+        plan = path.plan(network)
 
         cs_result = network.fluid_transfer(
-            forward,
+            plan,
             cs_params.target.bps,
             self._packet(cs_params, path),
             cs_params.duration_s,
         )
         network.clock.advance(cs_params.duration_s)
         sc_result = network.fluid_transfer(
-            backward,
+            plan.reversed(),
             sc_params.target.bps,
             self._packet(sc_params, path),
             sc_params.duration_s,

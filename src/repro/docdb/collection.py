@@ -451,19 +451,24 @@ class Collection:
     ) -> UpdateResult:
         with self._lock:
             matched = 0
-            modified = 0
-            changed: List[Dict[str, Any]] = []
+            # (old, new) pairs: every changed document is validated (and
+            # copied, like an insert) before any of them is committed,
+            # so a rejected update leaves memory and the WAL untouched.
+            pending: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
             for doc in self._execute_filter(flt):
                 matched += 1
                 new_doc = apply_update(doc, update)
                 if new_doc != doc:
+                    new_doc = normalize_document(new_doc, ensure_id=False)
                     if self.validator is not None:
                         self.validator(new_doc)
-                    self._replace_committed(doc, new_doc)
-                    changed.append(new_doc)
-                    modified += 1
+                    pending.append((doc, new_doc))
                 if not multi:
                     break
+            for doc, new_doc in pending:
+                self._replace_committed(doc, new_doc)
+            changed = [new_doc for _, new_doc in pending]
+            modified = len(changed)
             if matched == 0 and upsert:
                 seed = {
                     k: v
@@ -588,7 +593,9 @@ class Collection:
                         f"WAL replay: update targets unknown _id "
                         f"{new_doc['_id']!r} in collection {self.name!r}"
                     )
-                self._replace_committed(old, copy.deepcopy(new_doc))
+                self._replace_committed(
+                    old, normalize_document(new_doc, ensure_id=False)
+                )
             if docs:
                 self._bump_epoch()
                 self._emit_wal(OP_UPDATE, {"docs": list(docs)})

@@ -26,8 +26,7 @@ from repro.monitor.journal import FlowEventJournal
 from repro.monitor.revocation import RevocationStore
 from repro.monitor.slo import FlowSLO
 from repro.suite import metrics as m
-from repro.suite.config import PATHS_COLLECTION, SERVERS_COLLECTION
-from repro.topology.isd_as import ISDAS
+from repro.suite.config import PATHS_COLLECTION
 from repro.upin.controller import FlowRule, PathController
 
 
@@ -125,7 +124,7 @@ class FailoverEngine:
             exclude_paths=rule.request.exclude_paths | exclusions,
         )
         try:
-            selection = self.controller.cached_select(reroute_request)
+            selection, server = self.controller.cached_route(reroute_request)
         except NoPathError as exc:
             return self._failed(rule, old_path_id, cause, now_s, str(exc))
         if selection.best is None:
@@ -134,10 +133,7 @@ class FailoverEngine:
                 "no admissible replacement path under the original constraints",
             )
 
-        server = self.controller.selector.db[SERVERS_COLLECTION].find_one(
-            {"_id": rule.server_id}
-        )
-        dst_ia = ISDAS.parse(str(server["isd_as"])) if server else rule.path.dst
+        dst_ia = server[0] if server is not None else rule.path.dst
         new_path = self.controller.host.daemon.path_by_sequence(
             dst_ia, selection.best.sequence
         )

@@ -29,8 +29,8 @@ from repro.netsim.packet import (
     fragment_count,
 )
 from repro.netsim.congestion import CongestionEpisode
-from repro.netsim.link import LinkDirection, LinkState
-from repro.netsim.network import LinkTraversal, NetworkSim, TransferResult
+from repro.netsim.link import LinkDirection, LinkLane, LinkState
+from repro.netsim.network import LinkTraversal, NetworkSim, PathPlan, TransferResult
 
 __all__ = [
     "SimClock",
@@ -42,8 +42,10 @@ __all__ = [
     "fragment_count",
     "CongestionEpisode",
     "LinkDirection",
+    "LinkLane",
     "LinkState",
     "LinkTraversal",
     "NetworkSim",
+    "PathPlan",
     "TransferResult",
 ]

@@ -3,28 +3,33 @@
 The paper's test-suite is measurement-bound: every campaign iteration
 runs ``scion ping -c 30 --interval 0.1s`` plus four bwtest transfers
 over every retained path to 21 destinations (§3.3, §5.3).  Walking every
-:class:`~repro.netsim.network.LinkTraversal` once *per packet* with
-scalar numpy RNG calls would cost O(count × links) Python work;
-:func:`probe_batch` computes a series in O(links) numpy operations:
+link once *per packet* with scalar numpy RNG calls would cost
+O(count × links) Python work; :func:`probe_batch` computes a series in
+O(links) numpy operations over the path's round-trip lanes
+(:class:`~repro.netsim.network.PathPlan`, resolved once per path):
 
-* per-link static terms (propagation, serialization) are computed once;
-* cross-traffic utilization is gathered through
-  :meth:`~repro.netsim.procs.UtilizationProcess.values_at` (vectorized
-  over the shared AR(1) grid cache);
+* per-link static terms (propagation, serialization) are scalars read
+  off the :class:`~repro.netsim.link.LinkLane`;
+* send times are checked once per call (finite, ``>= 0``), and
+  cross-traffic utilization is gathered straight from the shared
+  AR(1) grid buffer
+  (:meth:`~repro.netsim.procs.UtilizationProcess.gather`);
 * per-link jitter is one ``normal`` vector and the drop decision one
   vectorized Bernoulli per link/direction, over all probes of the call;
 * cumulative delays propagate by running vector sums, and a first-drop
   mask guarantees a packet dropped at link *k* never contributes
   downstream draws that change observable results (each step's draws
-  are fixed-size vectors, so a dropped packet keeps its lane without
+  are fixed-size vectors, so a dropped packet keeps its slot without
   perturbing any other packet's samples).
 
-It is the only probe code path.  The caller passes the send times, in
-any shape: ``echo_series`` one ``t0 + arange(count) * interval`` vector,
-traceroute one vector per hop over the hop's traversal prefix,
-``showpaths --probe`` a single send time, the flow monitor a
-(flows × probes) matrix per pinned path, so one call probes every flow
-on that path.  Noise is drawn over the probes in row-major order.
+It is the only probe code path.  The caller passes a plan (ping and
+the flow monitor, via :meth:`~repro.scion.path.Path.plan`) or forward
+traversals resolved for the one call (traceroute, ``showpaths
+--probe``), and the send times, in any shape: ``echo_series`` one
+``t0 + arange(count) * interval`` vector, traceroute one vector per hop
+over the hop's traversal prefix, ``showpaths --probe`` a single send
+time, the flow monitor a (flows × probes) matrix per pinned path, so
+one call probes every flow on that path.  Noise is drawn over the probes in row-major order.
 
 Determinism contract (property-tested in
 ``tests/test_netsim_fastpath.py``): same seed and same calls ⇒
@@ -39,8 +44,9 @@ vector-sized chunks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -48,7 +54,7 @@ from repro.errors import ValidationError
 from repro.netsim.packet import PacketSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.netsim.network import LinkTraversal, NetworkSim
+    from repro.netsim.network import NetworkSim, Route
 
 
 @dataclass(frozen=True)
@@ -79,24 +85,18 @@ class BatchEchoSeries:
         return tuple(float(r) for r in self.rtt_ms[~self.lost_mask])
 
 
-def roundtrip_steps(
-    traversals: Sequence["LinkTraversal"],
-) -> Tuple["LinkTraversal", ...]:
-    """Forward traversals followed by the reversed return path."""
-    back = [step.reversed() for step in reversed(traversals)]
-    return tuple(traversals) + tuple(back)
-
-
 def probe_batch(
     network: "NetworkSim",
-    traversals: Sequence["LinkTraversal"],
+    route: "Route",
     packet: PacketSpec,
     send_times_s: "np.ndarray",
 ) -> BatchEchoSeries:
     """Compute echo probes along one path in O(links) numpy operations.
 
-    ``send_times_s`` holds one departure time per probe, in any shape:
-    a ``t0 + arange(count) * interval`` vector for one echo series, or a
+    ``route`` is a :class:`~repro.netsim.network.PathPlan` or the
+    forward traversals (resolved here, once).  ``send_times_s`` holds
+    one departure time per probe, in any shape: a
+    ``t0 + arange(count) * interval`` vector for one echo series, or a
     (flows × probes) matrix for every flow pinned to this path in one
     monitor pass.  Each link draws its jitter and drop vectors over the
     probes in row-major order.  A packet's arrival time at each link is
@@ -105,30 +105,34 @@ def probe_batch(
     ``scion ping`` deadline.  The result has the shape of
     ``send_times_s``.
     """
-    if not traversals:
+    lanes = network.plan(route).roundtrip
+    if not lanes:
         raise ValidationError("empty path")
     send_times = np.asarray(send_times_s, dtype=np.float64)
     if send_times.size < 1:
         raise ValidationError("echo probes need at least one send time")
-    if not np.isfinite(send_times).all():
-        raise ValidationError("echo send times must be finite")
-
     flat_times = send_times.reshape(-1)
+    # The only time check of the call: every later arrival time adds
+    # non-negative delay to a checked send time.
+    earliest = float(flat_times.min())
+    if not (math.isfinite(earliest) and math.isfinite(float(flat_times.max()))):
+        raise ValidationError("echo send times must be finite")
+    if earliest < 0:
+        raise ValidationError(f"negative simulation time: {earliest}")
+
+    wire_bytes = packet.total_wire_bytes
+    fragments = packet.fragments
     delay_ms = np.zeros(flat_times.size, dtype=np.float64)
     dropped = np.zeros(flat_times.size, dtype=bool)
 
-    for step in roundtrip_steps(traversals):
-        state = network.link_state(step.link)
-        direction = state.direction_from(step.sender)
+    for lane in lanes:
         t = flat_times + delay_ms / 1e3
-        step_ms, step_drop = state.transit_batch(
-            direction, packet.total_wire_bytes, packet.fragments, t
-        )
-        # First-drop masking: a packet dropped upstream keeps its lane
+        step_ms, step_drop = lane.transit_batch(wire_bytes, fragments, t)
+        # First-drop masking: a packet dropped upstream keeps its slot
         # (the per-step draws are fixed-size vectors) but its RTT is
         # already unobservable, so downstream contributions only need to
-        # stay out of *other* packets' lanes — which vector ops give us
-        # for free.  Accumulate delay for all lanes; OR in new drops.
+        # stay out of *other* packets' slots — which vector ops give us
+        # for free.  Accumulate delay for all slots; OR in new drops.
         delay_ms = delay_ms + step_ms
         dropped |= step_drop
 

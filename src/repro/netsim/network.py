@@ -4,7 +4,10 @@
 congestion-episode schedule, a server health directory (for the paper's
 fault-tolerance scenarios, §4.1.2) and the shared simulation clock.  The
 SCION layer resolves a forwarding path into a list of
-:class:`LinkTraversal` records and hands them here.
+:class:`LinkTraversal` records; :meth:`NetworkSim.plan` turns those into
+a :class:`PathPlan` of per-direction link lanes, which the probe engine
+and fluid transfers walk.  Both accept either form: a plan runs as is,
+traversals are resolved once per call.
 """
 
 from __future__ import annotations
@@ -12,14 +15,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TopologyError, ValidationError
 from repro.netsim.clock import SimClock
 from repro.netsim.config import NetworkConfig
 from repro.netsim.congestion import CongestionEpisode, EpisodeSchedule
 from repro.netsim.counters import NetCounters
-from repro.netsim.link import LinkState
+from repro.netsim.link import LinkLane, LinkState
 from repro.netsim.packet import PacketSpec
 from repro.topology.entities import LinkSpec
 from repro.topology.graph import Topology
@@ -38,6 +41,49 @@ class LinkTraversal:
 
     def reversed(self) -> "LinkTraversal":
         return LinkTraversal(link=self.link, sender=self.link.other(self.sender))
+
+
+class PathPlan:
+    """A forwarding path resolved into link lanes, with its return path.
+
+    ``forward`` holds one :class:`~repro.netsim.link.LinkLane` per link
+    step, ``back`` the reverse lanes of the return path in reverse
+    order, and ``roundtrip`` both (what an echo probe crosses).  A plan
+    belongs to the :class:`NetworkSim` that resolved it;
+    :meth:`repro.scion.path.Path.plan` memoizes one per path.
+    """
+
+    __slots__ = ("forward", "back", "roundtrip", "_reversed")
+
+    def __init__(
+        self,
+        forward: Tuple[LinkLane, ...],
+        back: Optional[Tuple[LinkLane, ...]] = None,
+    ) -> None:
+        self.forward = forward
+        self.back = (
+            back
+            if back is not None
+            else tuple(lane.reverse for lane in reversed(forward))
+        )
+        self.roundtrip = self.forward + self.back
+        self._reversed: Optional["PathPlan"] = None
+
+    def __len__(self) -> int:
+        return len(self.forward)
+
+    def reversed(self) -> "PathPlan":
+        """The same path in the other direction (forward and back swapped)."""
+        if self._reversed is None:
+            other = PathPlan(self.back, self.forward)
+            other._reversed = self
+            self._reversed = other
+        return self._reversed
+
+
+#: What the data-plane entry points accept: a resolved plan, or the
+#: forward traversals to resolve for this one call.
+Route = Union[PathPlan, Sequence[LinkTraversal]]
 
 
 @dataclass(frozen=True)
@@ -209,11 +255,24 @@ class NetworkSim:
             raise TopologyError(f"link not part of this network: {spec}")
         return state
 
+    def plan(self, route: Route) -> PathPlan:
+        """Resolve forward traversals into a :class:`PathPlan`.
+
+        One :meth:`link_state` lookup per step; the return lanes are the
+        forward lanes' reverses, so they need none.  A plan is returned
+        as is.
+        """
+        if isinstance(route, PathPlan):
+            return route
+        return PathPlan(
+            tuple(self.link_state(step.link).lane_from(step.sender) for step in route)
+        )
+
     # -- probing ------------------------------------------------------------------
 
     def probe_batch(
         self,
-        traversals: Sequence[LinkTraversal],
+        route: Route,
         packet: PacketSpec,
         send_times_s: "np.ndarray",
     ) -> "batch.BatchEchoSeries":
@@ -223,18 +282,21 @@ class NetworkSim:
         over the hop's traversal prefix), ``showpaths --probe`` and the
         flow monitor all go through it.  ``send_times_s`` may have any
         shape — one series' vector or a (flows × probes) matrix — and
-        the returned RTTs share it.  Per-link jitter and drop decisions
-        are drawn as one vector per link/direction, in row-major probe
-        order, from the link's named RNG stream.  Same seed and same
-        calls ⇒ byte-identical results.  Does **not** advance the clock.
+        the returned RTTs share it.  ``route`` is a :class:`PathPlan`
+        (see :meth:`repro.scion.path.Path.plan`) or the forward
+        traversals, resolved for this call.  Per-link jitter and drop
+        decisions are drawn as one vector per link/direction, in
+        row-major probe order, from the link's named RNG stream.  Same
+        seed and same calls ⇒ byte-identical results.  Does **not**
+        advance the clock.
         """
-        return batch.probe_batch(self, traversals, packet, send_times_s)
+        return batch.probe_batch(self, route, packet, send_times_s)
 
     # -- fluid transfers -------------------------------------------------------------
 
     def fluid_transfer(
         self,
-        traversals: Sequence[LinkTraversal],
+        route: Route,
         target_bps: float,
         packet: PacketSpec,
         duration_s: float,
@@ -244,11 +306,12 @@ class NetworkSim:
     ) -> TransferResult:
         """Model a constant-rate UDP transfer (the bwtester primitive).
 
-        The client offers ``target_bps`` of *payload*; each link clips the
-        flow to its available byte capacity and the sending router's pps
-        budget, and residual/episode loss compounds across the fragments
-        of each packet.  Achieved bandwidth is the surviving payload rate
-        with a small relative measurement noise.
+        The client offers ``target_bps`` of *payload* along ``route`` (a
+        :class:`PathPlan`, walked forward, or the forward traversals);
+        each link clips the flow to its available byte capacity and the
+        sending router's pps budget, and residual/episode loss compounds
+        across the fragments of each packet.  Achieved bandwidth is the
+        surviving payload rate with a small relative measurement noise.
 
         ``register_flow=True`` records the transfer in the flow ledger so
         *overlapping* transfers contend for the same link capacity (the
@@ -256,40 +319,44 @@ class NetworkSim:
         """
         if target_bps <= 0 or duration_s <= 0:
             raise ValidationError("transfer needs positive rate and duration")
-        if not traversals:
+        if not route:
             raise ValidationError("empty path")
         if t_s is not None and not 0.0 <= t_s < math.inf:
             raise ValidationError(f"transfer start must be finite and >= 0: {t_s}")
+        lanes = self.plan(route).forward
         t0 = self.clock.now_s if t_s is None else t_s
         t1 = t0 + duration_s
         # Time-based ledger hygiene: flows whose window closed before this
         # transfer starts can never overlap it (or anything later on the
         # monotonic clock), so drop them here — the ledger stays bounded
-        # by the number of concurrently open transfers.
-        self.flows.prune(t0)
+        # by the number of concurrently open transfers.  An empty ledger
+        # (the one-at-a-time campaign) has nothing to prune or share.
+        ledger = self.flows if register_flow or len(self.flows) else None
+        if ledger is not None:
+            ledger.prune(t0)
 
         pps = target_bps / (8.0 * packet.payload_bytes)
         survival = 1.0
-        base = self.config.default_base_loss
+        wire_bytes = packet.total_wire_bytes
+        fragments = packet.fragments
 
         rate_pps = pps
-        for step in traversals:
-            state = self.link_state(step.link)
-            direction = state.direction_from(step.sender)
-            offered_bps = rate_pps * packet.total_wire_bytes * 8.0
-            offered_pps = rate_pps * packet.fragments
-            competing = self.flows.concurrent_load_bps(
-                step.link.key(), direction, t0, t1
+        for lane in lanes:
+            offered_bps = rate_pps * wire_bytes * 8.0
+            offered_pps = rate_pps * fragments
+            competing = (
+                ledger.concurrent_load_bps(lane.key, lane.direction, t0, t1)
+                if ledger is not None
+                else 0.0
             )
-            byte_ratio, pps_ratio = state.fluid_share(
-                direction, offered_bps, offered_pps, t0, t1,
-                competing_bps=competing,
+            byte_ratio, pps_ratio = lane.fluid_share(
+                offered_bps, offered_pps, t0, t1, competing
             )
             if register_flow:
-                self.flows.register(
+                ledger.register(
                     FlowRecord(
-                        link_key=step.link.key(),
-                        direction=direction,
+                        link_key=lane.key,
+                        direction=lane.direction,
                         t0_s=t0,
                         t1_s=t1,
                         wire_bps=min(offered_bps, offered_bps * min(byte_ratio, pps_ratio))
@@ -297,10 +364,8 @@ class NetworkSim:
                         else 0.0,
                     )
                 )
-            frag_survive = min(byte_ratio, pps_ratio) * (
-                1.0 - base - step.link.base_loss
-            )
-            pkt_survive = max(0.0, frag_survive) ** packet.fragments
+            frag_survive = min(byte_ratio, pps_ratio) * lane.fluid_keep
+            pkt_survive = max(0.0, frag_survive) ** fragments
             survival *= pkt_survive
             rate_pps *= pkt_survive
             if survival <= 1e-9:

@@ -5,11 +5,13 @@ sampled on a fixed step grid and generated lazily-but-sequentially, so a
 query at simulated time *t* always returns the same value no matter how
 many queries happened in between — the property that keeps experiments
 deterministic under refactoring.
+
+The grid is a growable ``float64`` array (a doubling buffer plus a
+length): 8 bytes per generated cell, against ~32 for a list of boxed
+floats, and the vectorized readers gather straight from it.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 
@@ -21,13 +23,18 @@ from repro.netsim.config import UtilizationParams
 #: from the current end, so over-extending is invisible: cell *k* holds
 #: the same value no matter how eagerly it was generated (a vectorized
 #: draw consumes the stream exactly like that many scalar draws).  The
-#: chunk just amortises the per-call RNG and list plumbing over the
+#: chunk just amortises the per-call RNG draw and buffer write over the
 #: campaign's thousands of tiny window extensions.
 EXTEND_CHUNK = 256
 
 
 class UtilizationProcess:
-    """Lazily generated, cached AR(1) series clamped to ``[floor, ceil]``."""
+    """Lazily generated, cached AR(1) series clamped to ``[floor, ceil]``.
+
+    Cells ``0 .. n-1`` of the grid live in ``_buf[:_n]``; the buffer
+    at least doubles whenever an extension outgrows it, so it never
+    holds more than twice the cells generated.
+    """
 
     def __init__(self, params: UtilizationParams, rng: np.random.Generator) -> None:
         if not (0.0 <= params.floor <= params.ceil <= 1.0):
@@ -39,14 +46,26 @@ class UtilizationProcess:
         self.params = params
         self._rng = rng
         first = params.mean + params.sigma * float(rng.standard_normal())
-        self._values: List[float] = [self._clamp(first)]
+        self._buf = np.array([self._clamp(first)], dtype=np.float64)
+        self._n = 1
 
     def _clamp(self, u: float) -> float:
         return min(max(u, self.params.floor), self.params.ceil)
 
+    @property
+    def cells(self) -> int:
+        """Number of grid cells generated so far."""
+        return self._n
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of grid storage held, spare buffer capacity included."""
+        return self._buf.nbytes
+
     def _extend_to(self, k: int) -> None:
         p = self.params
-        n_missing = k + 1 - len(self._values)
+        n = self._n
+        n_missing = k + 1 - n
         if n_missing <= 0:
             return
         if n_missing < EXTEND_CHUNK:
@@ -58,16 +77,24 @@ class UtilizationProcess:
         # to the old per-step draws while the per-call RNG overhead —
         # the campaign profile's single largest line — disappears.
         noise = (p.sigma * self._rng.standard_normal(n_missing)).tolist()
-        prev = self._values[-1]
+        prev = float(self._buf[n - 1])
         mean, rho = p.mean, p.rho
         floor, ceil = p.floor, p.ceil
-        append = self._values.append
+        chunk = []
+        append = chunk.append
         for eps in noise:
             nxt = mean + rho * (prev - mean) + eps
             # Inline clamp (bit-identical to min(max(...))), avoiding
             # two builtin calls per grid cell.
             prev = floor if nxt < floor else (ceil if nxt > ceil else nxt)
             append(prev)
+        end = n + n_missing
+        if end > self._buf.size:
+            grown = np.empty(max(end, 2 * self._buf.size), dtype=np.float64)
+            grown[:n] = self._buf[:n]
+            self._buf = grown
+        self._buf[n:end] = chunk
+        self._n = end
 
     def value_at(self, t_s: float) -> float:
         """Utilization fraction in ``[floor, ceil]`` at simulated time t."""
@@ -75,18 +102,16 @@ class UtilizationProcess:
             raise ValidationError(f"negative simulation time: {t_s}")
         k = int(t_s / self.params.step_s)
         self._extend_to(k)
-        return self._values[k]
+        return float(self._buf[k])
 
     def values_at(self, t_array: "np.ndarray") -> "np.ndarray":
         """Vectorized :meth:`value_at`: utilization at every time in one go.
 
-        The grid cache is shared with the scalar reader, so for any time
-        *t*, ``values_at([t])[0] == value_at(t)`` exactly — the batch
-        measurement fast path (:mod:`repro.netsim.batch`) relies on this
-        to keep the AR(1) series identical no matter which evaluator
-        touched a grid cell first.  Cost is the amortised grid extension
-        plus one slice-and-gather over the queried span, instead of one
-        Python call per sample.
+        The grid is shared with the scalar reader, so for any time *t*,
+        ``values_at([t])[0] == value_at(t)`` exactly — the probe engine
+        (:mod:`repro.netsim.batch`) relies on this to keep the AR(1)
+        series identical no matter which evaluator touched a grid cell
+        first.  Validates the times, then :meth:`gather`.
         """
         if isinstance(t_array, np.ndarray) and t_array.dtype == np.float64:
             t = t_array
@@ -96,15 +121,22 @@ class UtilizationProcess:
             return np.empty(0, dtype=np.float64)
         if float(t.min()) < 0:
             raise ValidationError(f"negative simulation time: {float(t.min())}")
+        return self.gather(t)
+
+    def gather(self, t: "np.ndarray") -> "np.ndarray":
+        """:meth:`values_at` for times already known to be valid.
+
+        ``t`` must be a non-empty ``float64`` array of finite times
+        ``>= 0``; the probe engine checks its send times once per call
+        and every later arrival time only adds non-negative delay.
+        Cost is the amortised grid extension plus one gather from the
+        buffer.
+        """
         k = (t / self.params.step_s).astype(np.int64)
-        k_min = int(k.min())
         k_max = int(k.max())
-        self._extend_to(k_max)
-        # Gather from a slice covering just the queried cells (an echo
-        # series spans a few seconds), so a freshly extended grid never
-        # forces re-materializing the whole history as an array.
-        sub = np.asarray(self._values[k_min : k_max + 1], dtype=np.float64)
-        return sub[k - k_min]
+        if k_max >= self._n:
+            self._extend_to(k_max)
+        return self._buf[k]
 
     def mean_over(self, t0_s: float, t1_s: float) -> float:
         """Average utilization over the window ``[t0, t1]``.
@@ -116,13 +148,16 @@ class UtilizationProcess:
             raise ValidationError("window end before start")
         k0 = int(t0_s / self.params.step_s)
         k1 = int(t1_s / self.params.step_s)
-        self._extend_to(k1)
-        window = self._values[k0 : k1 + 1]
-        if len(window) < 8:
+        if k1 >= self._n:
+            self._extend_to(k1)
+        # Slice the generated cells only, so a negative index counts
+        # from the last generated cell, never from spare capacity.
+        window = self._buf[: self._n][k0 : k1 + 1]
+        if window.size < 8:
             # Bit-identical to np.mean for < 8 elements: numpy's
             # pairwise_sum uses a plain sequential loop below its 8-way
             # unroll threshold, i.e. the exact order of Python's sum().
             # Typical bandwidth-test windows are 4 grid cells, so the
             # fluid hot path skips the ufunc dispatch overhead entirely.
-            return sum(window) / len(window)
+            return sum(window.tolist()) / window.size
         return float(np.mean(window))

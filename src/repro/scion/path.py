@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError, ValidationError
-from repro.netsim.network import LinkTraversal
+from repro.netsim.network import LinkTraversal, NetworkSim, PathPlan
 from repro.topology.graph import Topology
 from repro.topology.isd_as import ISDAS
 
@@ -132,6 +132,29 @@ class Path:
             (weakref.ref(topology), topology.epoch, tuple(steps)),
         )
         return steps
+
+    def plan(self, network: NetworkSim) -> PathPlan:
+        """This path's forward, return and round-trip lanes on ``network``.
+
+        Memoized per ``(network, topology.epoch)``, next to the
+        :meth:`traversals` memo: a campaign pings and bwtests the same
+        ``Path`` five times per measurement, and the flow monitor probes
+        it every round, so the link lookups run once per path and every
+        later call walks the resolved lanes.  A different network (its
+        own links, its own RNG streams) or a topology mutation
+        re-resolves from scratch.
+        """
+        topology = network.topology
+        cached = self.__dict__.get("_plan_memo")
+        if cached is not None:
+            net_ref, epoch, plan = cached
+            if net_ref() is network and epoch == topology.epoch:
+                return plan
+        plan = network.plan(self.traversals(topology))
+        object.__setattr__(
+            self, "_plan_memo", (weakref.ref(network), topology.epoch, plan)
+        )
+        return plan
 
     def static_latency_ms(self, topology: Topology) -> float:
         """Sum of one-way propagation delays — showpaths' latency hint."""

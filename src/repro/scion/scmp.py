@@ -108,13 +108,14 @@ class ScmpService:
         """Echo probes along ``path`` departing at ``send_times_s``.
 
         One :meth:`~repro.netsim.network.NetworkSim.probe_batch` call
-        over a send-time array of any shape — the flow monitor passes a
+        over the path's memoized round-trip lanes (:meth:`Path.plan`)
+        and a send-time array of any shape — the flow monitor passes a
         (flows × probes) matrix for every flow pinned to ``path``.
         Neither advances the clock nor checks server health: callers
         own both (see :meth:`answers`).
         """
         return self.network.probe_batch(
-            path.traversals(self.network.topology),
+            path.plan(self.network),
             self._echo_packet(path, payload_bytes),
             send_times_s,
         )

@@ -25,7 +25,8 @@ on the key ``(constraint-set, paths-epoch, stats-epoch, servers-epoch)``:
 
 A memo entry also keeps the destination server's resolved
 ``(ISDAS, address)``, read by the first :meth:`PathController.
-apply_intent` that uses the entry.  Repeated identical intents between
+apply_intent` or :meth:`PathController.cached_route` (the failover
+engine's reselection) that uses the entry.  Repeated identical intents between
 campaigns are therefore O(1) dictionary hits with no database read; the
 first intent after a batch lands (or after a server's address or AS
 changes) recomputes and re-caches.  Memoized :class:`SelectionResult`
@@ -168,6 +169,23 @@ class PathController:
         while len(self._selection_cache) > self._selection_cache_size:
             self._selection_cache.popitem(last=False)
         return entry
+
+    def cached_route(
+        self, request: UserRequest
+    ) -> Tuple[SelectionResult, Optional[Tuple[ISDAS, str]]]:
+        """:meth:`cached_select` plus the destination server.
+
+        Both come from one memo entry, like :meth:`apply_intent` (which
+        inlines this on the intent hot path): the server's ``(ISDAS,
+        address)`` is read once per entry, by the first caller that gets
+        a best path, and again only after a write to ``servers`` (whose
+        epoch keys the entry).  The server is None when the selection
+        has no best path or the server id is unknown.
+        """
+        entry = self._memo_entry(request)
+        if entry.selection.best is not None and entry.server is None:
+            entry.server = self._resolve_server(request.server_id)
+        return entry.selection, entry.server
 
     def _resolve_server(self, server_id: int) -> Optional[Tuple[ISDAS, str]]:
         """``(ISDAS, address)`` of a destination server, None if unknown."""

@@ -380,3 +380,89 @@ class TestTopLevelFieldRead:
         )
         assert out[0]["s"] == 7.0
         assert out[0]["n"] == 2.5
+
+
+# -- updates validate before they commit -----------------------------------------
+
+
+#: Updates whose resulting document is not JSON-shaped.
+BAD_UPDATES = [
+    {"$set": {"b": np.int64(3)}},
+    {"$set": {"m": {1: 2}}},
+    {"$push": {"arr": object()}},
+    {"b": np.int64(3)},  # a replacement document
+]
+
+
+class TestUpdateValidation:
+    """An update's resulting documents are validated (and copied, like an
+    insert) before any of them is committed: a rejected update leaves
+    memory, the query cache's view and the WAL exactly as they were."""
+
+    @staticmethod
+    def _seed(coll: Collection) -> None:
+        coll.insert_many(
+            [{"_id": i, "b": i, "m": {}, "arr": [], "grp": "x"} for i in range(3)]
+        )
+
+    @pytest.mark.parametrize("update", BAD_UPDATES)
+    def test_durable_update_rejected_with_memory_and_wal_unchanged(
+        self, tmp_path, update
+    ):
+        directory = str(tmp_path / "db")
+        client = DocDBClient.open(directory)
+        coll = client["upin"]["docs"]
+        self._seed(coll)
+        before = _dump(coll.find())
+        lsn, epoch = client.wal.last_lsn, coll.epoch
+        with pytest.raises(ValidationError):
+            coll.update_one({"_id": 1}, update)
+        assert _dump(coll.find()) == before
+        assert client.wal.last_lsn == lsn
+        assert coll.epoch == epoch
+        client.close()
+        reopened = DocDBClient.open(directory)
+        try:
+            assert _dump(reopened["upin"]["docs"].find()) == before
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize("update", BAD_UPDATES)
+    def test_volatile_update_rejected(self, update):
+        coll = DocDBClient()["upin"]["docs"]
+        self._seed(coll)
+        before = _dump(coll.find())
+        with pytest.raises(ValidationError):
+            coll.update_one({"_id": 1}, update)
+        assert _dump(coll.find()) == before
+
+    def test_update_many_is_all_or_nothing(self, tmp_path):
+        client = DocDBClient.open(str(tmp_path / "db"))
+        coll = client["upin"]["docs"]
+        self._seed(coll)
+        coll.create_index("b")
+        before = _dump(coll.find())
+        lsn = client.wal.last_lsn
+        # Only the last matched document turns invalid; the first two
+        # would be valid on their own, and none of the three may land.
+        with pytest.raises(ValidationError):
+            coll.update_many(
+                {"grp": "x"},
+                {"$set": {"b": 7}, "$push": {"arr": np.int64(1)}},
+            )
+        with pytest.raises(ValidationError):
+            coll.update_many(
+                {"grp": "x"}, {"$inc": {"b": 10}, "$set": {"m": {2: "x"}}}
+            )
+        assert _dump(coll.find()) == before
+        assert coll.find({"b": 7}) == [] and coll.count_documents({"b": 1}) == 1
+        assert client.wal.last_lsn == lsn
+        client.close()
+
+    def test_valid_update_stores_its_own_copy(self):
+        coll = DocDBClient()["upin"]["docs"]
+        self._seed(coll)
+        payload = {"deep": [1, {"x": 2}]}
+        coll.update_one({"_id": 0}, {"$set": {"p": payload}})
+        payload["deep"][1]["x"] = 99
+        assert coll.find_one({"_id": 0})["p"] == {"deep": [1, {"x": 2}]}

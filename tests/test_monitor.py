@@ -32,6 +32,7 @@ from repro.monitor.slo import FlowSLO
 from repro.selection.engine import PathSelector
 from repro.selection.request import UserRequest
 from repro.suite import metrics as m
+from repro.suite.config import SERVERS_COLLECTION
 from repro.topology.isd_as import ISDAS
 from repro.upin.controller import PathController
 
@@ -363,6 +364,50 @@ class TestFailoverEngine:
         assert docs and "breach" in docs[0]["cause"]
         # The flow rule is untouched.
         assert controller.active_flow("stuck", 3).path_id == rule.path_id
+
+    def test_server_isd_as_update_reaches_replacement(
+        self, monitor_world, monkeypatch
+    ):
+        """The replacement path is resolved toward the server's current
+        AS: the memoized destination is re-read after a ``servers``
+        write, with no per-failover ``find_one``."""
+        engine, controller, rule, journal = self._engine(monitor_world, "mover")
+        servers = monitor_world.db[SERVERS_COLLECTION]
+        home = ISDAS.parse(str(servers.find_one({"_id": 3})["isd_as"]))
+        moved = next(
+            ISDAS.parse(str(doc["isd_as"]))
+            for doc in servers.find()
+            if ISDAS.parse(str(doc["isd_as"])) != home
+        )
+        daemon = controller.host.daemon
+        resolved_toward = []
+        real = daemon.path_by_sequence
+
+        def spy(dst, sequence):
+            resolved_toward.append(ISDAS.parse(dst))
+            return real(dst, sequence)
+
+        monkeypatch.setattr(daemon, "path_by_sequence", spy)
+        real_find_one = servers.find_one
+        monkeypatch.setattr(
+            servers,
+            "find_one",
+            lambda *a, **k: pytest.fail("failover read servers with find_one"),
+        )
+        slo = FlowSLO(cooldown_s=0.0)
+        assert engine.try_failover(rule, slo, "breach", 100.0).swapped
+        assert resolved_toward == [home]
+        servers.update_one({"_id": 3}, {"$set": {"isd_as": str(moved)}})
+        try:
+            # Same rule, same reroute request: only the servers epoch moved.
+            outcome = engine.try_failover(rule, slo, "breach", 200.0, force=True)
+        finally:
+            servers.update_one({"_id": 3}, {"$set": {"isd_as": str(home)}})
+        assert resolved_toward == [home, moved]
+        # The old path's sequence does not lead to the moved AS.
+        assert not outcome.swapped
+        assert "no longer resolvable" in outcome.error
+        assert real_find_one({"_id": 3})["isd_as"] == str(home)
 
     def test_detection_to_recovery_latency(self, monitor_world):
         engine, controller, rule, journal = self._engine(

@@ -32,7 +32,7 @@ from repro.docdb.client import DocDBClient
 from repro.errors import ValidationError
 from repro.monitor.revocation import Revocation, RevocationStore
 from repro.monitor.scenario import run_outage_scenario
-from repro.netsim.batch import probe_batch, roundtrip_steps
+from repro.netsim.batch import probe_batch
 from repro.netsim.config import NetworkConfig
 from repro.netsim.congestion import CongestionEpisode
 from repro.netsim.link import LinkDirection
@@ -157,17 +157,22 @@ class TestBatchSeriesShape:
         assert series.received == 30 - int(np.count_nonzero(series.lost_mask))
         assert len(series.received_rtts()) == series.received
 
-    def test_roundtrip_steps_mirror(self):
+    def test_plan_back_lanes_mirror(self):
         net = _fresh_net(7)
         steps = _path_user_to_leaf(net.topology)
-        full = roundtrip_steps(steps)
-        assert len(full) == 2 * len(steps)
-        assert list(full[: len(steps)]) == list(steps)
-        # The return half crosses the same links with swapped senders,
+        plan = net.plan(steps)
+        assert len(plan.roundtrip) == 2 * len(steps)
+        assert plan.roundtrip == plan.forward + plan.back
+        for lane, step in zip(plan.forward, steps):
+            state = net.link_state(step.link)
+            assert lane is state.lane(state.direction_from(step.sender))
+        # The return half crosses the same links in the other direction,
         # in reverse order.
-        for fwd, back in zip(steps, reversed(full[len(steps):])):
-            assert back.link is fwd.link
-            assert back.sender == fwd.link.other(fwd.sender)
+        for fwd, back in zip(plan.forward, reversed(plan.back)):
+            assert back.state is fwd.state
+            assert back is fwd.reverse and back.direction is not fwd.direction
+        assert plan.reversed().forward == plan.back
+        assert plan.reversed().reversed() is plan
 
     def test_does_not_advance_clock(self):
         net = _fresh_net(7)
@@ -613,15 +618,14 @@ class TestFluidWindow:
         net = _fresh_net(7)
         steps = _path_user_to_leaf(net.topology)
         link = steps[0].link
-        state = net.link_state(link)
-        direction = state.direction_from(steps[0].sender)
-        clean = state.fluid_share(direction, 1e12, 1e3, 0.0, 3.0)
+        lane = net.link_state(link).lane_from(steps[0].sender)
+        clean = lane.fluid_share(1e12, 1e3, 0.0, 3.0)
         assert net.episodes.window_disturbance(link, 0.0, 3.0) == (0.0, 1.0)
         net.add_episode(CongestionEpisode.on_links([link], 0.0, 3.0, loss=0.5))
         # The same window, computed after the episode, sees it.
         ep_loss, _ = net.episodes.window_disturbance(link, 0.0, 3.0)
         assert ep_loss == pytest.approx(0.5)
-        disturbed = state.fluid_share(direction, 1e12, 1e3, 0.0, 3.0)
+        disturbed = lane.fluid_share(1e12, 1e3, 0.0, 3.0)
         assert disturbed[0] < clean[0]
 
 

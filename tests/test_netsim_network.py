@@ -109,8 +109,8 @@ class TestLinkState:
     def test_transit_packet_delay_positive(self, net):
         link = net.topology.link_between("1-ffaa:0:1", "2-ffaa:0:1")[0]
         state = net.link_state(link)
-        delay_ms, _ = state.transit_batch(
-            LinkDirection.A_TO_B, 1000, 1, np.zeros(1)
+        delay_ms, _ = state.lane(LinkDirection.A_TO_B).transit_batch(
+            1000, 1, np.zeros(1)
         )
         assert delay_ms[0] > state.propagation_ms
 
@@ -118,8 +118,8 @@ class TestLinkState:
         link = net.topology.link_between("1-ffaa:0:1", "2-ffaa:0:1")[0]
         net.add_episode(CongestionEpisode.on_links([link], 0.0, 100.0, loss=1.0))
         state = net.link_state(link)
-        _, dropped = state.transit_batch(
-            LinkDirection.A_TO_B, 100, 1, np.full(20, 1.0)
+        _, dropped = state.lane(LinkDirection.A_TO_B).transit_batch(
+            100, 1, np.full(20, 1.0)
         )
         assert dropped.all()
 
@@ -127,8 +127,8 @@ class TestLinkState:
         link = net.topology.link_between("1-ffaa:0:3", "1-ffaa:1:1")[0]
         state = net.link_state(link)
         # Upstream (user -> ap) capacity is 16 Mbps; offer 160 Mbps.
-        byte_ratio, _ = state.fluid_share(
-            LinkDirection.B_TO_A, 160e6, 1000.0, 0.0, 3.0
+        byte_ratio, _ = state.lane(LinkDirection.B_TO_A).fluid_share(
+            160e6, 1000.0, 0.0, 3.0
         )
         assert byte_ratio < 0.15
 
@@ -140,7 +140,9 @@ class TestLinkState:
         net = NetworkSim(build_tiny_world(), config)
         link = net.topology.link_between("1-ffaa:0:3", "1-ffaa:1:1")[0]
         state = net.link_state(link)
-        _, pps_ratio = state.fluid_share(LinkDirection.B_TO_A, 1e6, 10_000.0, 0.0, 3.0)
+        _, pps_ratio = state.lane(LinkDirection.B_TO_A).fluid_share(
+            1e6, 10_000.0, 0.0, 3.0
+        )
         assert pps_ratio == pytest.approx(0.1)
 
 
@@ -149,8 +151,7 @@ def _oneway_ms(net, steps, packet, t_s):
     total_ms = 0.0
     for step in steps:
         state = net.link_state(step.link)
-        delay_ms, _ = state.transit_batch(
-            state.direction_from(step.sender),
+        delay_ms, _ = state.lane_from(step.sender).transit_batch(
             packet.total_wire_bytes,
             packet.fragments,
             np.array([t_s + total_ms / 1e3]),
